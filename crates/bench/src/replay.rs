@@ -109,9 +109,10 @@ pub fn standard_configs() -> Vec<ReplayConfig> {
             cores: 64,
             accesses_per_core: 25_000,
         },
-        // Chase is single-core by construction: the streaming merge
-        // must buffer the whole classified trace (documented worst
-        // case), so keep it modest.
+        // Chase is single-core by construction: a dependent chain
+        // replays one access at a time, so keep it modest. Its seven
+        // idle cores close at once, and streaming buffers about one
+        // chunk.
         ReplayConfig {
             kind: Chase,
             cores: 8,

@@ -101,18 +101,14 @@ impl Mshr {
 
     /// Occupancy a [`register`](Self::register) at `now` would observe,
     /// **without** retiring anything: entries still in flight past
-    /// `now`. The concurrent replay sequencer uses this to prove a
-    /// register call cannot stall (occupancy < capacity) while some
-    /// completion times are still conservative placeholders — a
-    /// placeholder (`u64::MAX`) counts as in flight, so the probe is an
-    /// upper bound on what the retired file would hold.
+    /// `now`. A not-yet-completed allocation (placeholder `u64::MAX`)
+    /// counts as in flight.
     ///
-    /// The time-series sampler also reads the in-flight gauge through
-    /// this probe, always at a merge-order boundary clock and with all
-    /// placeholders already flushed to real completions — lazily
-    /// retired entries have `done <= now` there and never count, so
-    /// the probed value is identical no matter which replay engine (or
-    /// worker count) reached the boundary.
+    /// The time-series sampler reads the in-flight gauge through this
+    /// probe at a merge-order boundary clock: lazily retired entries
+    /// have `done <= now` there and never count, so the probed value
+    /// is identical no matter which replay entry point (or worker
+    /// count) reached the boundary.
     pub fn probe_occupancy(&self, now: SimTime) -> usize {
         self.inflight
             .iter()

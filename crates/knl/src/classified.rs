@@ -25,7 +25,7 @@
 //! `run_classified` additionally asserts the signature against the
 //! replaying simulator so a hand-constructed mismatch panics instead
 //! of silently replaying the wrong classification. Placement, worker
-//! count, timing mode, and migration specs are deliberately *not* in
+//! count, and migration specs are deliberately *not* in
 //! the key — they only affect the timing stage.
 //!
 //! # Cache observability
@@ -34,8 +34,7 @@
 //! `replay.classify.*` counters/gauges through the telemetry registry
 //! (hits, misses, evictions, current and high-water bytes). An
 //! artifact larger than the whole budget warns once per process
-//! ([`classify_cache_warning`], mirroring the streaming replay's
-//! buffered-accesses warning) because every sweep over it silently
+//! ([`classify_cache_warning`]) because every sweep over it silently
 //! degenerates to rebuild-per-setup.
 
 use crate::config::MachineConfig;
@@ -140,8 +139,8 @@ impl ClassifiedTrace {
     /// [`TraceSim::run_streaming`](crate::tracesim::TraceSim::run_streaming)),
     /// so the raw trace never materializes; each chunk is partitioned
     /// by core and classified on [`worker_threads`] workers exactly as
-    /// the replay engines would. The artifact is bit-for-bit the
-    /// classification those engines would produce — one shared kernel
+    /// the replay would. The artifact is bit-for-bit the
+    /// classification replay would produce — one shared kernel
     /// ([`classify_into`]) guarantees it.
     pub fn build_streaming(
         cfg: &MachineConfig,
@@ -270,11 +269,10 @@ impl ClassifiedTrace {
 /// (~15.8 M accesses), several paper-scale sweep artifacts.
 pub const CLASSIFY_CACHE_DEFAULT_BYTES: usize = 256 << 20;
 
-/// Warn-once condition for the classify cache, mirroring the streaming
-/// replay's `buffer_warning`: an artifact larger than the entire cache
-/// budget can never be retained, so every sweep over that trace
-/// silently degenerates to rebuild-per-setup. Pure so the threshold is
-/// testable without capturing stderr.
+/// Warn-once condition for the classify cache: an artifact larger than
+/// the entire cache budget can never be retained, so every sweep over
+/// that trace silently degenerates to rebuild-per-setup. Pure so the
+/// threshold is testable without capturing stderr.
 pub fn classify_cache_warning(entry_bytes: usize, cap_bytes: usize) -> Option<String> {
     if cap_bytes > 0 && entry_bytes > cap_bytes {
         Some(format!(

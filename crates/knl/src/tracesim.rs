@@ -9,16 +9,16 @@
 //! beats DDR for streams, DDR beats HBM for chases) and roughly on
 //! magnitude.
 //!
-//! # Sequential, sharded-parallel, and streaming replay
+//! # One replay engine
 //!
 //! [`TraceSim::run`] is the sequential reference implementation.
-//! [`TraceSim::run_parallel`] and [`TraceSim::run_streaming`] produce
-//! **bit-identical** reports and device statistics by exploiting a
-//! structural property of the model: the private cache hierarchy
-//! (L1/L2/TLB, and the memory-side-cache tags in cache mode) is
-//! *timing-independent* — which level serves an access depends only on
-//! that core's own address stream, never on the clock. Replay
-//! therefore splits into
+//! [`TraceSim::run_parallel`], [`TraceSim::run_classified`] and
+//! [`TraceSim::run_streaming`] produce **bit-identical** reports and
+//! device statistics by exploiting a structural property of the model:
+//! the private cache hierarchy (L1/L2/TLB, and the memory-side-cache
+//! tags in cache mode) is *timing-independent* — which level serves an
+//! access depends only on that core's own address stream, never on the
+//! clock. Replay therefore splits into
 //!
 //! 1. a **classification phase** that partitions the trace by core
 //!    (see [`partition_by_core`]) and drives each shard's private
@@ -31,57 +31,25 @@
 //!    the earliest-clock order the sequential path uses. The "core
 //!    with the earliest clock" selection runs on a fixed-size
 //!    tournament tree ([`simfabric::merge::LoserTree`]) keyed on the
-//!    per-core clocks: O(log cores) per access with no allocation,
-//!    replacing a `BinaryHeap` push+pop pair. The tree's tie-break
-//!    (equal clocks select the lower core index) reproduces the old
-//!    heap's `Reverse<(SimTime, usize)>` order exactly.
+//!    per-core clocks: O(log cores) per access with no allocation.
+//!    The tree's tie-break (equal clocks select the lower core index)
+//!    is the sequential path's order.
 //!
-//! [`TraceSim::run_parallel`] interleaves the two phases in
-//! classification **windows** ([`TraceSim::set_replay_window`]): cores
-//! whose batch runs dry but which still have trace left stay in the
-//! tournament as *ghosts* at their current clock, and a ghost winning
-//! triggers the next refill — so peak buffering is one window, not the
-//! whole trace, and the merge order is still exact.
-//!
-//! # Concurrent timing (`TRACESIM_TIMING`, [`TimingMode`])
-//!
-//! By default (`TimingMode::Concurrent`, with ≥ 2 workers) the timing
-//! phase itself runs concurrently via **static ownership
-//! partitioning**: each DRAM channel's banks and bus watermark split
-//! into a [`memdev::bank::DramLane`] owned by exactly one gang worker
-//! ([`simfabric::par::Gang`]). The merge thread still sequences
-//! accesses in the exact sequential order, but defers device pricing:
-//! it emits pre-routed lane ops and uses conservative completion
-//! lower bounds to prove each MSHR/merge/ordering decision is
-//! independent of the not-yet-priced times, flushing the batch to the
-//! gang the moment a decision would need a real completion (see
-//! DESIGN.md "Concurrent timing phase" for the exactness and
-//! deadlock-freedom arguments). Degenerate traces (serialized pointer
-//! chases) are detected by flush-pattern and handed back to the
-//! inline loop ([`TimingEngineStats::bailed_out`]). Set
-//! `TRACESIM_TIMING=sequential` (or
-//! [`TraceSim::set_timing_mode`]) to force the inline path; both
-//! modes are bit-identical.
-//!
-//! [`TraceSim::run_streaming`] goes one step further: instead of
-//! materializing the whole trace up front, it pulls bounded chunks
-//! from a generator callback on a producer thread
-//! ([`simfabric::par::pipelined`]) while classification and timing run
-//! on the consumer side, so generation overlaps replay and the
-//! buffered trace stays at roughly one chunk per refill for workloads
-//! that spread accesses across cores. The timing merge may only pick
-//! a winner while *every* core that could still receive work has a
-//! classified access buffered (an empty queue's future access could
-//! carry the earliest clock); a single-core workload (e.g. a pointer
-//! chase) therefore degenerates to buffering the full classified
-//! trace — correctness is never traded for memory by default. An
-//! opt-in lookahead cap ([`TraceSim::set_streaming_lookahead_chunks`]
-//! or `TRACESIM_LOOKAHEAD_CHUNKS`) bounds that backlog by
-//! force-draining the cores that have work and backpressuring the
-//! producer; exact for the single-core traces that trigger the
-//! buildup, approximate if starved cores later receive work. Peak
-//! buffering is tracked per run and exposed via
-//! [`TraceSim::last_peak_trace_buffer_bytes`].
+//! The three entry points differ only in what feeds the refills of
+//! one merge loop: a raw trace classified in windows of
+//! [`TraceSim::set_replay_window`] accesses, a prebuilt
+//! [`ClassifiedTrace`] copied in window-sized slices, or a stream of
+//! chunks generated on a producer thread
+//! ([`simfabric::par::pipelined`]) and classified as they arrive. Each
+//! core's slot closes when its exact remaining count reaches zero; a
+//! core whose batch runs dry while it still has accesses left stays in
+//! the tournament as a *ghost* at its current clock, and a ghost
+//! winning triggers the next refill. The merge order is therefore
+//! exact while peak buffering stays near one window or chunk — also
+//! for a streamed single-core pointer chase, whose idle cores have a
+//! remaining count of zero from the start. Every access, on every
+//! path, is priced by one timing body. Peak buffering is tracked per
+//! run and exposed via [`TraceSim::last_peak_trace_buffer_bytes`].
 //!
 //! # Classify once, replay many ([`TraceSim::run_classified`])
 //!
@@ -105,11 +73,9 @@
 //! # Batched mesh pricing
 //!
 //! The mesh's analytic message accounting (a counter bump per memory
-//! access) batches into a detached [`MeshTally`] folded back at
-//! window/chunk boundaries and in [`TraceSim::finish`] — bit-identical
-//! by construction (pure counter sums, proven by the differential
-//! suite), on by default, opt out with `TRACESIM_MESH_BATCH=0` (see
-//! [`mesh_batch_from_env`]).
+//! access) batches into a detached [`MeshTally`] folded back at every
+//! refill and in [`TraceSim::finish`]: pure counter sums, so the
+//! totals are those of per-access accounting.
 //!
 //! Per-shard totals are folded with [`ShardTotals::merge`], an
 //! order-independent (commutative, associative, integer-only)
@@ -121,19 +87,16 @@ use cachesim::cache::AccessKind;
 use cachesim::hierarchy::{Hierarchy, HierarchyConfig, LevelHit};
 use cachesim::mcdram_cache::MemorySideCache;
 use cachesim::mshr::{Mshr, MshrOutcome};
-use memdev::bank::{DramGeometry, DramLane, DramModel, DramStats};
+use memdev::bank::{DramModel, DramStats};
 use memkind_sim::migrate::{MigrationCost, MigrationSpec, MigrationStats, PageScheduler};
 use mesh::{MeshModel, MeshTally};
 use simfabric::merge::LoserTree;
 use simfabric::par;
-use simfabric::par::Gang;
 use simfabric::stats::Histogram;
 use simfabric::telemetry::timeseries::{SeriesId, TimeSeriesRecorder};
 use simfabric::telemetry::{MetricsRegistry, SpanLog};
 use simfabric::{ByteSize, Duration, SimTime};
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::collections::VecDeque;
 use std::time::Instant;
 
 /// One trace record.
@@ -345,101 +308,11 @@ pub fn worker_threads() -> usize {
     }
 }
 
-/// How [`TraceSim::run_parallel`]'s timing phase executes. Both modes
-/// produce bit-identical results; the choice is purely about how the
-/// shared-state work is scheduled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TimingMode {
-    /// The merge thread owns all shared state and prices every device
-    /// access inline (the pre-existing behaviour).
-    Sequential,
-    /// Ownership-partitioned timing: DRAM channel lanes are owned by
-    /// gang workers that price batches of pre-routed accesses, while
-    /// the sequencer preserves the exact sequential merge order and
-    /// flushes whenever a decision would need a not-yet-priced time.
-    Concurrent,
-}
-
-/// Parse a `TRACESIM_TIMING` value (case-insensitive).
-#[doc(hidden)]
-pub fn parse_timing_mode(raw: &str) -> Option<TimingMode> {
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "sequential" | "seq" => Some(TimingMode::Sequential),
-        "concurrent" | "conc" => Some(TimingMode::Concurrent),
-        _ => None,
-    }
-}
-
-/// Timing mode from the `TRACESIM_TIMING` environment variable,
-/// defaulting to [`TimingMode::Concurrent`] — the engine only engages
-/// when more than one worker is available, so single-threaded hosts
-/// run the inline loop either way. Unparsable values warn once and
-/// fall back to the default.
-pub fn timing_mode_from_env() -> TimingMode {
-    simfabric::env::parsed(
-        "TRACESIM_TIMING",
-        "\"sequential\" or \"concurrent\"",
-        parse_timing_mode,
-    )
-    .unwrap_or(TimingMode::Concurrent)
-}
-
-/// Default classification window for [`TraceSim::run_parallel`], in
-/// accesses: large enough to amortize the per-window fan-out, small
-/// enough that the classified batch is still cache-resident when the
-/// timing phase consumes it.
+/// Default refill window for [`TraceSim::run_parallel`] and
+/// [`TraceSim::run_classified`], in accesses: large enough to amortize
+/// the per-window fan-out, small enough that the classified batch is
+/// still cache-resident when the timing phase consumes it.
 pub const PAR_WINDOW: usize = 1 << 16;
-
-/// Replay window from the `TRACESIM_PAR_WINDOW` environment variable
-/// (accesses per classification window); unset, unparsable (warn-once
-/// via [`simfabric::env`]) or `0` fall back to [`PAR_WINDOW`].
-/// [`TraceSim::set_replay_window`] overrides it programmatically.
-pub fn replay_window_from_env() -> usize {
-    simfabric::env::usize_var("TRACESIM_PAR_WINDOW")
-        .filter(|&n| n > 0)
-        .unwrap_or(PAR_WINDOW)
-}
-
-/// Whether replay batches analytic mesh pricing (see the module docs):
-/// per-access hop counts accumulate in a detached [`MeshTally`] and
-/// fold into the [`MeshModel`] once per classification window /
-/// stream chunk instead of touching the shared counters per access.
-/// Proven bit-identical (pure counter sums), so it defaults to **on**;
-/// `TRACESIM_MESH_BATCH=0` (or
-/// [`TraceSim::set_mesh_batching`]) restores per-access pricing.
-pub fn mesh_batch_from_env() -> bool {
-    simfabric::env::bool_var("TRACESIM_MESH_BATCH").unwrap_or(true)
-}
-
-/// Streaming-replay backlog threshold: warn when the classified
-/// backlog exceeds this many times the largest chunk the producer has
-/// delivered — the pipeline is then no longer streaming, it is
-/// materializing the trace (the single-core worst case the module docs
-/// describe).
-pub const BUFFER_WARN_CHUNKS: usize = 8;
-
-/// Minimum backlog (in accesses) before the warning can fire, so the
-/// tiny chunks the unit tests feed never trip it.
-pub const BUFFER_WARN_MIN_ACCESSES: usize = 1 << 16;
-
-/// The warning [`TraceSim::run_streaming`] emits (once per process)
-/// when its classified backlog stops being bounded by the chunk size.
-/// Pure so the threshold logic is testable without capturing stderr.
-pub fn buffer_warning(backlog_accesses: usize, max_chunk_accesses: usize) -> Option<String> {
-    if backlog_accesses >= BUFFER_WARN_MIN_ACCESSES
-        && max_chunk_accesses > 0
-        && backlog_accesses > BUFFER_WARN_CHUNKS * max_chunk_accesses
-    {
-        Some(format!(
-            "tracesim: streaming replay is buffering {backlog_accesses} classified accesses \
-             (more than {BUFFER_WARN_CHUNKS}x the {max_chunk_accesses}-access chunk size); \
-             the trace concentrates work on few cores, so the pipeline is degenerating \
-             toward materializing the whole trace"
-        ))
-    } else {
-        None
-    }
-}
 
 /// Pack the classification outcome's boolean/enum half into one byte:
 /// bit 0 = write, bit 1 = dependent, bits 2–3 = [`LevelHit`].
@@ -513,22 +386,11 @@ impl ClassifiedSoa {
 
     /// Pop the oldest access: `(addr, sram_lat, dependent, level)`.
     fn pop(&mut self) -> Option<(u64, Duration, bool, LevelHit)> {
-        let out = self.peek();
-        if out.is_some() {
-            self.head += 1;
-        }
-        out
-    }
-
-    /// The oldest access without consuming it. The concurrent sequencer
-    /// peeks first so that a flush decision (which must happen before
-    /// *any* state mutation) can leave the access in place to be
-    /// retried after the flush.
-    fn peek(&self) -> Option<(u64, Duration, bool, LevelHit)> {
         if self.is_empty() {
             return None;
         }
         let i = self.head;
+        self.head += 1;
         let flags = self.flags[i];
         Some((
             self.addr[i],
@@ -536,12 +398,6 @@ impl ClassifiedSoa {
             unpack_dependent(flags),
             unpack_level(flags),
         ))
-    }
-
-    /// Consume the access last returned by [`peek`](Self::peek).
-    fn advance(&mut self) {
-        debug_assert!(!self.is_empty(), "advance past the end");
-        self.head += 1;
     }
 
     /// Drop the consumed prefix so refills don't grow without bound.
@@ -636,279 +492,45 @@ pub(crate) fn hierarchy_config(cfg: &MachineConfig, msc_capacity: ByteSize) -> H
     hier_cfg
 }
 
-/// Per-core state of the streaming pipeline: the private hierarchy,
-/// the unclassified slice of the current chunk, and the classified
-/// backlog awaiting the timing merge.
-struct StreamShard {
+/// Per-core state of the replay engine: the private hierarchy, the
+/// unclassified slice of the current window or chunk, and the
+/// classified backlog awaiting the timing merge.
+struct ReplayShard {
     hier: Hierarchy,
     pending: Vec<TraceAccess>,
     queue: ClassifiedSoa,
 }
 
-/// What feeds the windowed replay's refills: a raw trace that each
-/// window partitions and classifies through the private hierarchies
-/// ([`TraceSim::run_parallel`]), or a prebuilt [`ClassifiedTrace`]
-/// whose per-core SoA arrays are copied in window-sized slices — the
-/// timing-only fast path of [`TraceSim::run_classified`]. Both
-/// variants uphold the same refill contract the ghost-slot merge
-/// relies on: a refill gives every dry core with work left at least
-/// one access, and buffering stays bounded by roughly one window.
-enum ReplayInput<'a> {
-    /// Unclassified trace; `next` is the global trace-order cursor.
+/// One chunk as it crosses the streaming pipe: the accesses, plus the
+/// generation burst's start and end instants when spans are on (the
+/// span log lives on the consumer thread).
+type StreamChunk = (Vec<TraceAccess>, Option<(Instant, Instant)>);
+
+/// What feeds the replay's refills. Every variant upholds the refill
+/// contract the ghost-slot merge relies on: a refill hands each core
+/// accesses in that core's program order, takes exactly that many off
+/// the core's remaining count, and buffers about one window or chunk;
+/// it returns `false` only once the input is exhausted.
+enum ReplayInput<'a, 'p> {
+    /// Unclassified trace ([`TraceSim::run_parallel`]); `next` is the
+    /// global trace-order cursor. A refill partitions and classifies
+    /// the next window.
     Raw {
         trace: &'a [TraceAccess],
         next: usize,
     },
-    /// Prebuilt artifact; `next` holds one cursor per core.
+    /// Prebuilt artifact ([`TraceSim::run_classified`]); `next` holds
+    /// one cursor per core. A refill copies window-sized slices into
+    /// the dry cores.
     Classified {
         ct: &'a ClassifiedTrace,
         next: Vec<usize>,
     },
-}
-
-// ---------------------------------------------------------------------
-// Concurrent timing engine.
-//
-// The shared state of the timing phase partitions by static ownership:
-// each DRAM channel's banks and bus watermark form a lane
-// ([`memdev::bank::DramLane`]) owned by exactly one gang worker, so
-// per-channel sequences of device calls — the only order the bank
-// model is sensitive to — are replayed on a single thread in exactly
-// the sequential merge order. The sequencer keeps that order: it runs
-// the same earliest-clock tournament as the inline path, but instead
-// of pricing device accesses inline it *emits* them as pre-routed ops
-// and proves, via conservative completion lower bounds, that every
-// MSHR/merge/ordering decision it takes is independent of the
-// not-yet-priced times. The moment a decision would need a real time
-// (a stale MSHR placeholder, a blocked dependent core whose bound is
-// reached, order-sensitive telemetry), it flushes: dispatches the
-// batch to the gang ([`simfabric::par::Gang`] epoch barrier), resolves
-// every deferred completion exactly, and resumes. Rare cross-owner
-// interaction (the cache-mode tag→data→fill chain crossing from an
-// MCDRAM lane to a DDR lane and back) is executed optimistically: the
-// chained op spins on its producer's published output, which is always
-// an earlier op in emission order, so the dataflow is acyclic and
-// deadlock-free.
-
-/// Device selector for a [`PriceOp`].
-const DEV_DDR: u8 = 0;
-const DEV_HBM: u8 = 1;
-/// `PriceOp::dep` value meaning "arrival time is known".
-const NO_DEP: u32 = u32::MAX;
-/// `PriceOp::out` value meaning "not yet priced".
-const OP_UNSET: u64 = u64::MAX;
-/// Flush a batch when it reaches this many device ops, bounding both
-/// the deferred-state footprint and the resolve latency.
-const ENGINE_OPS_CAP: usize = 4096;
-/// Bail out of the engine when, after this many flushes, ...
-const ENGINE_BAILOUT_FLUSHES: u64 = 8;
-/// ... the mean batch is still below this many ops: the trace
-/// serializes (e.g. a single-core pointer chase) and the gang is pure
-/// overhead, so the tail is handed back to the inline loop.
-const ENGINE_BAILOUT_MIN_OPS_PER_FLUSH: u64 = 16;
-
-/// One pre-routed device access for the pricing gang: a single
-/// `access_mapped` call on one lane, with the arrival time either
-/// known up front or taken from an earlier op's output (the cache-mode
-/// tag→data→fill chain).
-struct PriceOp {
-    /// [`DEV_DDR`] or [`DEV_HBM`].
-    dev: u8,
-    /// Packed `(channel, bank, row)` from [`DramGeometry::map_packed`].
-    map: u64,
-    /// Arrival time in ps (ignored when `dep` is set).
-    arrive_ps: u64,
-    /// Index of the op whose output is this op's arrival time, or
-    /// [`NO_DEP`].
-    dep: u32,
-    /// Completion time in ps; [`OP_UNSET`] until priced.
-    out: AtomicU64,
-}
-
-/// One flush's worth of ops plus the per-worker routing lists (op
-/// indices in emission order — per-lane order is what makes the lane
-/// replay exact).
-struct PricePlan {
-    ops: Vec<PriceOp>,
-    lists: Vec<Vec<u32>>,
-}
-
-/// Gang-worker loop: price every op routed to `me`, in emission order,
-/// on the lanes this worker owns. Chained ops spin (with yields) on
-/// their producer's output; the producer is always earlier in emission
-/// order, so progress is guaranteed (see the deadlock-freedom argument
-/// in DESIGN.md).
-fn price_worker(gang: &Gang<Arc<PricePlan>>, me: usize, lanes: &mut [(u8, DramLane)]) {
-    let mut seen = 0u64;
-    while let Some(plan) = gang.worker_wait(&mut seen) {
-        for &i in &plan.lists[me] {
-            let op = &plan.ops[i as usize];
-            let at = if op.dep == NO_DEP {
-                op.arrive_ps
-            } else {
-                let dep = &plan.ops[op.dep as usize].out;
-                let mut spins = 0u32;
-                loop {
-                    let v = dep.load(Ordering::Acquire);
-                    if v != OP_UNSET {
-                        break v;
-                    }
-                    spins += 1;
-                    if spins % 64 == 0 {
-                        std::thread::yield_now();
-                    } else {
-                        std::hint::spin_loop();
-                    }
-                }
-            };
-            let (ch, bank, row) = DramGeometry::unpack(op.map);
-            let (_, lane) = lanes
-                .iter_mut()
-                .find(|(d, l)| *d == op.dev && l.channel() == ch)
-                .expect("op routed to a lane this worker owns");
-            let served = lane.access_mapped(bank, row, SimTime::from_ps(at));
-            op.out.store(served.as_ps(), Ordering::Release);
-        }
-        gang.complete();
-    }
-}
-
-/// A deferred primary miss: the op is in flight on the gang; `done` is
-/// resolved (and the MSHR placeholder replaced) at the next flush.
-struct DefAlloc {
-    core: u32,
-    /// Index of the op whose output is the device service time.
-    op: u32,
-    /// MSHR line address (placeholder to replace at resolve).
-    line: u64,
-    issue: SimTime,
-    /// Response-path latency added on top of the device time.
-    resp_half: Duration,
-    /// Conservative lower bound on the final completion time; every
-    /// decision taken while this entry is pending is valid for *any*
-    /// completion at or above it.
-    done_lb: SimTime,
-    dependent: bool,
-}
-
-/// A secondary miss merged into a pending [`DefAlloc`]: completes at
-/// `max(primary done, floor)`.
-struct DefMerge {
-    core: u32,
-    alloc: u32,
-    floor: SimTime,
-    issue: SimTime,
-    dependent: bool,
-}
-
-/// Why the sequencer flushed a batch to the gang.
-#[derive(Debug, Clone, Copy)]
-enum FlushCause {
-    /// MSHR state undecidable under placeholders (stale pending line,
-    /// or a probe that cannot rule out a stall).
-    Mshr,
-    /// A blocked dependent core's completion bound was reached.
-    Blocked,
-    /// The ops-per-batch cap.
-    Capacity,
-    /// Order-sensitive telemetry (MSHR occupancy histogram) needs
-    /// fully-resolved state at every register call.
-    Telemetry,
-    /// End-of-window / end-of-run drain.
-    Drain,
-}
-
-/// Mutable sequencer state between flushes.
-struct EngineState {
-    ops: Vec<PriceOp>,
-    lists: Vec<Vec<u32>>,
-    allocs: Vec<DefAlloc>,
-    merges: Vec<DefMerge>,
-    /// `(core, line address)` → index into `allocs`, for pending
-    /// primaries. Keyed per core because MSHR files are per-core: the
-    /// same line in flight on two cores is two independent entries
-    /// (and two independent device accesses), exactly as in the
-    /// sequential replay.
-    pending: HashMap<(u32, u64), u32>,
-    /// Per-core count of unresolved placeholders in that core's MSHR
-    /// file; a core at zero has a fully-real file, so its register
-    /// calls (and occupancy samples) are exact without a flush.
-    deferred: Vec<u64>,
-    /// Dependent cores awaiting a deferred completion:
-    /// `(completion lower bound, core)`.
-    blocked: Vec<(SimTime, usize)>,
-}
-
-/// Immutable per-run routing/bounds context for the engine.
-struct EngineCtx<'a> {
-    gang: &'a Gang<Arc<PricePlan>>,
-    /// DDR / HBM channel → owning gang worker.
-    owner_ddr: Vec<usize>,
-    owner_hbm: Vec<usize>,
-    ddr_geo: DramGeometry,
-    hbm_geo: DramGeometry,
-    /// Minimum device service times (completion ≥ arrival + min).
-    ddr_min: Duration,
-    hbm_min: Duration,
-    workers: usize,
-}
-
-/// Route one op to its owning worker and append it to the batch.
-fn emit_op(
-    st: &mut EngineState,
-    ctx: &EngineCtx<'_>,
-    dev: u8,
-    map: u64,
-    arrive_ps: u64,
-    dep: u32,
-) -> u32 {
-    let idx = st.ops.len() as u32;
-    let ch = (map >> 56) as usize;
-    let owner = if dev == DEV_DDR {
-        ctx.owner_ddr[ch]
-    } else {
-        ctx.owner_hbm[ch]
-    };
-    st.ops.push(PriceOp {
-        dev,
-        map,
-        arrive_ps,
-        dep,
-        out: AtomicU64::new(OP_UNSET),
-    });
-    st.lists[owner].push(idx);
-    idx
-}
-
-/// Observability counters from the most recent
-/// [`TraceSim::run_parallel`] call's timing phase.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TimingEngineStats {
-    /// Classification windows refilled.
-    pub windows: u64,
-    /// Pricing batches dispatched to the gang.
-    pub flushes: u64,
-    /// Flushes forced by undecidable MSHR state.
-    pub flush_mshr: u64,
-    /// Flushes forced by a blocked core's completion bound.
-    pub flush_blocked: u64,
-    /// Flushes forced by the ops-per-batch cap.
-    pub flush_capacity: u64,
-    /// Flushes forced by order-sensitive telemetry recorders.
-    pub flush_telemetry: u64,
-    /// End-of-window / end-of-run drains.
-    pub flush_drain: u64,
-    /// Device ops priced by the gang.
-    pub ops: u64,
-    /// Largest single batch.
-    pub max_ops_per_flush: u64,
-    /// Whether the engine handed the tail back to the inline loop
-    /// (degenerate flush pattern).
-    pub bailed_out: bool,
-    /// Ops routed to each gang worker (ownership-partition balance).
-    pub owner_ops: Vec<u64>,
-    /// Peak ops a single batch put on each worker.
-    pub owner_peak_ops: Vec<u64>,
+    /// Chunks from the producer thread of [`TraceSim::run_streaming`].
+    /// A refill receives, partitions and classifies the next chunk.
+    Stream {
+        rx: &'a mut par::ChunkReceiver<'p, StreamChunk>,
+    },
 }
 
 /// Time-resolved replay telemetry: one [`TimeSeriesRecorder`] ticked
@@ -928,8 +550,7 @@ struct ReplayTimeSeries {
     migrate_moves: SeriesId,
     /// Minimum device service times, cached from the models: the
     /// queue-wait series is `done - (arrive + min + resp_half)`, the
-    /// same lower bound the concurrent engine's deferred ops carry,
-    /// so both engines accumulate identical waits.
+    /// overshoot past the fastest service the device could give.
     ddr_min: Duration,
     hbm_min: Duration,
 }
@@ -949,9 +570,9 @@ pub struct TraceSim {
     placement: TracePlacement,
     /// Hot-page migration scheduler, present only for an *enabled*
     /// [`TracePlacement::Migrated`] spec in flat mode. Ticked exactly
-    /// once per consumed access in merge order by every engine, so
-    /// rebalances land at identical trace offsets regardless of
-    /// worker count or timing mode.
+    /// once per consumed access in merge order by every entry point,
+    /// so rebalances land at identical trace offsets regardless of
+    /// worker count.
     migration: Option<Box<PageScheduler>>,
     line_bytes: u64,
     /// Precomputed average response-path latencies (half a round trip).
@@ -960,10 +581,9 @@ pub struct TraceSim {
     /// Round-trip hop counts for analytic mesh message accounting.
     hops_ddr: u64,
     hops_hbm: u64,
-    /// Batched mesh pricing (see [`mesh_batch_from_env`]): when on,
-    /// analytic messages accumulate in `mesh_tally` and fold into the
-    /// mesh at window boundaries and in [`finish`](Self::finish).
-    mesh_batch: bool,
+    /// Batched mesh pricing: analytic messages accumulate here and
+    /// fold into the mesh at every refill and in
+    /// [`finish`](Self::finish).
     mesh_tally: MeshTally,
     /// Canonical classification signature of this simulator's
     /// hierarchy config (see [`classify_signature`]); a
@@ -982,17 +602,9 @@ pub struct TraceSim {
     /// Pipeline stall/occupancy stats from the most recent
     /// `run_streaming` call (zeroed by the materialized paths).
     last_pipe_stats: par::PipeStats,
-    /// Timing-phase override; `None` defers to [`timing_mode_from_env`].
-    timing_mode: Option<TimingMode>,
-    /// Classification window for [`run_parallel`](Self::run_parallel),
-    /// in accesses.
+    /// Refill window for [`run_parallel`](Self::run_parallel) and
+    /// [`run_classified`](Self::run_classified), in accesses.
     replay_window: usize,
-    /// Streaming lookahead cap override, in chunks; `None` defers to
-    /// the `TRACESIM_LOOKAHEAD_CHUNKS` environment variable, and 0
-    /// disables the cap.
-    stream_lookahead_chunks: Option<usize>,
-    /// Engine counters from the most recent `run_parallel` call.
-    timing_stats: TimingEngineStats,
     /// Phase-span log; `None` (the default) disables all span
     /// recording. Device-level histograms are enabled alongside it by
     /// [`enable_telemetry`](Self::enable_telemetry).
@@ -1030,7 +642,6 @@ impl TraceSim {
             resp_half_hbm,
             hops_ddr,
             hops_hbm,
-            mesh_batch: mesh_batch_from_env(),
             mesh_tally: MeshTally::default(),
             classify_sig: classify_signature(cfg, msc_capacity),
             ddr: DramModel::ddr4_knl(),
@@ -1052,47 +663,23 @@ impl TraceSim {
             last_peak_buffer: 0,
             peak_buffered_accesses: 0,
             last_pipe_stats: par::PipeStats::default(),
-            timing_mode: None,
-            replay_window: replay_window_from_env(),
-            stream_lookahead_chunks: None,
-            timing_stats: TimingEngineStats::default(),
+            replay_window: PAR_WINDOW,
             telemetry: None,
             timeseries: None,
         }
     }
 
-    /// Override the timing mode for subsequent
-    /// [`run_parallel`](Self::run_parallel) calls; `None` (the
-    /// default) defers to the `TRACESIM_TIMING` environment variable.
-    pub fn set_timing_mode(&mut self, mode: Option<TimingMode>) {
-        self.timing_mode = mode;
-    }
-
-    /// The timing mode the next [`run_parallel`](Self::run_parallel)
-    /// call will use.
-    pub fn timing_mode(&self) -> TimingMode {
-        self.timing_mode.unwrap_or_else(timing_mode_from_env)
-    }
-
-    /// Set the classification window (in accesses) for
-    /// [`run_parallel`](Self::run_parallel); clamped to at least one.
-    /// Tests shrink this to force many window refills on small traces.
+    /// Set the refill window (in accesses) for
+    /// [`run_parallel`](Self::run_parallel) and
+    /// [`run_classified`](Self::run_classified); clamped to at least
+    /// one. Tests shrink this to force many refills on small traces.
     pub fn set_replay_window(&mut self, accesses: usize) {
         self.replay_window = accesses.max(1);
     }
 
-    /// Force batched mesh pricing on or off for subsequent `run*`
-    /// calls, overriding the `TRACESIM_MESH_BATCH` default. Both
-    /// settings are bit-identical (the differential suite proves it);
-    /// the flag exists so the proof has something to compare.
-    pub fn set_mesh_batching(&mut self, on: bool) {
-        self.mesh_batch = on;
-    }
-
-    /// Whether analytic mesh pricing is batched (see
-    /// [`mesh_batch_from_env`]).
-    pub fn mesh_batching(&self) -> bool {
-        self.mesh_batch
+    /// Simulated cores (one replay shard each).
+    pub fn cores(&self) -> usize {
+        self.core_clock.len()
     }
 
     /// This simulator's classification signature — the cache/TLB half
@@ -1102,24 +689,6 @@ impl TraceSim {
     /// replayed: [`run_classified`](Self::run_classified) checks.
     pub fn classify_signature(&self) -> &str {
         &self.classify_sig
-    }
-
-    /// Cap [`run_streaming`](Self::run_streaming)'s classified
-    /// lookahead at `chunks` producer chunks: above the cap the merge
-    /// force-drains (and the bounded pipe backpressures the producer)
-    /// until the backlog falls to half the cap. `Some(0)` and `None`
-    /// leave the cap to the `TRACESIM_LOOKAHEAD_CHUNKS` environment
-    /// variable (unset/0 there means uncapped). See the module docs
-    /// for when the forced drain preserves bit-exactness.
-    pub fn set_streaming_lookahead_chunks(&mut self, chunks: Option<usize>) {
-        self.stream_lookahead_chunks = chunks;
-    }
-
-    /// Timing-engine counters from the most recent
-    /// [`run_parallel`](Self::run_parallel) call (all-zero when the
-    /// inline timing path ran).
-    pub fn last_timing_stats(&self) -> &TimingEngineStats {
-        &self.timing_stats
     }
 
     /// Turn on telemetry for subsequent `run*` calls: a [`SpanLog`]
@@ -1156,10 +725,8 @@ impl TraceSim {
     /// migration scheduler (`migrate.resident_pages`,
     /// `migrate.moves`; zero when migration is off). Because the tick
     /// is merge-order simulated progress, window boundaries and
-    /// sampled values are bit-identical across the sequential,
-    /// windowed-parallel, and streaming engines at any worker count —
-    /// under the concurrent timing engine a boundary forces a
-    /// telemetry flush first, so the sampled state is fully resolved.
+    /// sampled values are bit-identical across every entry point at
+    /// any worker count.
     /// Replay results are unchanged with sampling on or off; the
     /// equivalence suite asserts both properties.
     pub fn enable_timeseries(&mut self, interval: u64, capacity: usize) {
@@ -1201,11 +768,10 @@ impl TraceSim {
         self.timeseries.is_some()
     }
 
-    /// Device-level time-series accounting shared by every engine at
-    /// the point an access is routed to memory: one line fetch per
-    /// device op the access issues (the cache-mode miss chain touches
-    /// MCDRAM twice and DDR once, mirroring the ops the concurrent
-    /// engine emits). Callers gate on `timeseries.is_some()`.
+    /// Device-level time-series accounting at the point an access is
+    /// routed to memory: one line fetch per device access it issues
+    /// (the cache-mode miss chain touches MCDRAM twice and DDR once).
+    /// Callers gate on `timeseries.is_some()`.
     fn ts_note_lines(&mut self, level: LevelHit, is_hbm_target: bool) {
         let msc = self.msc.is_some();
         let ts = self.timeseries.as_mut().expect("caller gates on is_some");
@@ -1220,13 +786,10 @@ impl TraceSim {
         }
     }
 
-    /// Inline-path queue-wait accounting: the serving device's
-    /// overshoot past the completion lower bound
-    /// `arrive + min_service + resp_half` — exactly `done - done_lb`
-    /// on the concurrent engine's deferred ops, so both paths
-    /// accumulate identical series. Callers gate on
-    /// `timeseries.is_some()`.
-    fn ts_note_wait_inline(
+    /// Queue-wait accounting: the serving device's overshoot past the
+    /// completion lower bound `arrive + min_service + resp_half`.
+    /// Callers gate on `timeseries.is_some()`.
+    fn ts_note_wait(
         &mut self,
         level: LevelHit,
         is_hbm_target: bool,
@@ -1263,11 +826,9 @@ impl TraceSim {
     }
 
     /// Close a sampling window: refresh the pull-style series from
-    /// state every engine resolves identically at merge-order
-    /// boundaries (MSHR files probed at the boundary access's
+    /// state that is identical at merge-order boundaries on every
+    /// entry point (MSHR files probed at the boundary access's
     /// pre-stall clock, migration scheduler totals), then snapshot.
-    /// The concurrent sequencer flushes deferred completions before
-    /// calling this, so the probed state is fully real.
     #[cold]
     fn ts_sample(&mut self, now: SimTime) {
         let inflight: usize = self.mshrs.iter().map(|m| m.probe_occupancy(now)).sum();
@@ -1391,26 +952,6 @@ impl TraceSim {
             self.peak_buffered_accesses as f64,
         );
         reg.gauge("replay.peak_buffer_bytes", self.last_peak_buffer as f64);
-        let ts = &self.timing_stats;
-        reg.counter("replay.timing.windows", ts.windows);
-        reg.counter("replay.timing.ops", ts.ops);
-        reg.counter("replay.timing.flushes", ts.flushes);
-        reg.counter("replay.timing.flush_mshr", ts.flush_mshr);
-        reg.counter("replay.timing.flush_blocked", ts.flush_blocked);
-        reg.counter("replay.timing.flush_capacity", ts.flush_capacity);
-        reg.counter("replay.timing.flush_telemetry", ts.flush_telemetry);
-        reg.counter("replay.timing.flush_drain", ts.flush_drain);
-        reg.gauge(
-            "replay.timing.max_ops_per_flush",
-            ts.max_ops_per_flush as f64,
-        );
-        reg.gauge("replay.timing.bailed_out", ts.bailed_out as u64 as f64);
-        for (i, &n) in ts.owner_ops.iter().enumerate() {
-            reg.counter(&format!("replay.timing.owner.{i}.ops"), n);
-        }
-        for (i, &n) in ts.owner_peak_ops.iter().enumerate() {
-            reg.gauge(&format!("replay.timing.owner.{i}.peak_batch_ops"), n as f64);
-        }
         if let Some(m) = &self.migration {
             let ms = m.stats();
             reg.counter("replay.migrate.rebalances", ms.rebalances);
@@ -1479,7 +1020,7 @@ impl TraceSim {
     /// Migration counters, if a scheduler is active (an enabled
     /// [`TracePlacement::Migrated`] spec in flat mode). The digest
     /// inside fingerprints the full `(tick, page, direction)` move
-    /// sequence — the equivalence suite compares it across engines to
+    /// sequence — the equivalence suite compares it across entry points to
     /// prove remaps land at identical trace offsets.
     pub fn migration_stats(&self) -> Option<MigrationStats> {
         self.migration.as_ref().map(|m| m.stats().clone())
@@ -1495,22 +1036,8 @@ impl TraceSim {
         }
     }
 
-    /// Count one analytic mesh message of `hops` hops: straight onto
-    /// the shared counters per-access, or into the detached tally when
-    /// batching — identical totals either way (pure sums), but the
-    /// batched path touches one hot cache line instead of the mesh's
-    /// counter pair on every memory access.
-    #[inline]
-    fn note_mesh_message(&mut self, hops: u64) {
-        if self.mesh_batch {
-            self.mesh_tally.note(hops);
-        } else {
-            self.mesh.note_analytic_message(hops);
-        }
-    }
-
     /// Fold the pending mesh tally into the shared counters. Called at
-    /// classification-window / stream-chunk boundaries and from
+    /// every refill and from
     /// [`finish`](Self::finish), so [`mesh_stats`](Self::mesh_stats)
     /// is exact after any completed `run*` call.
     fn flush_mesh_tally(&mut self) {
@@ -1519,8 +1046,8 @@ impl TraceSim {
         }
     }
 
-    /// Advance the migration clock by one consumed access. Every
-    /// engine calls this exactly once per access, in the earliest-
+    /// Advance the migration clock by one consumed access: called
+    /// exactly once per access, in the earliest-
     /// `(clock, core)` merge order, with the winner's pre-stall clock
     /// as `now` — the determinism contract the scheduler needs.
     #[inline]
@@ -1553,9 +1080,8 @@ impl TraceSim {
     }
 
     /// The timing half of [`access`](Self::access): everything after
-    /// the (timing-independent) private-hierarchy lookup. The
-    /// sequential, parallel, and streaming paths all funnel through
-    /// this one body, so they cannot diverge.
+    /// the (timing-independent) private-hierarchy lookup. Every entry
+    /// point funnels through this one body, so they cannot diverge.
     fn access_timed(
         &mut self,
         core: usize,
@@ -1564,14 +1090,11 @@ impl TraceSim {
         level: LevelHit,
         sram_lat: Duration,
     ) -> Duration {
-        // Migration ticks on the pre-stall clock of the consuming
-        // core — the value the windowed sequencer also has in hand at
-        // its consumption sites, keeping rebalance offsets identical.
+        // Migration ticks on the pre-stall clock of the consuming core.
         let now0 = self.core_clock[core];
         self.migrate_tick(addr, level == LevelHit::Memory, now0);
         // The time-series tick shares the merge-order consumption
-        // site with `migrate_tick`, so window boundaries land on the
-        // same access in every engine. Sampling happens after this
+        // site with `migrate_tick`. Sampling happens after this
         // access fully completes (see the tail of this function).
         let ts_due = self.ts_tick();
         let mut issue = self.core_clock[core];
@@ -1607,7 +1130,7 @@ impl TraceSim {
             // KNL mesh is provisioned well beyond memory bandwidth),
             // so the request half of the average round trip is added
             // as latency instead. Messages and hops are still counted.
-            self.note_mesh_message(if is_hbm_target {
+            self.mesh_tally.note(if is_hbm_target {
                 self.hops_hbm
             } else {
                 self.hops_ddr
@@ -1654,7 +1177,7 @@ impl TraceSim {
             self.mshrs[core].complete_at(addr & !(self.line_bytes - 1), done);
             if self.timeseries.is_some() {
                 self.ts_note_lines(level, is_hbm_target);
-                self.ts_note_wait_inline(level, is_hbm_target, arrive, done);
+                self.ts_note_wait(level, is_hbm_target, arrive, done);
             }
         }
         let latency = done.since(issue);
@@ -1728,85 +1251,35 @@ impl TraceSim {
         self.finish()
     }
 
-    /// Replay a whole trace with the classification phase sharded
-    /// across [`worker_threads`] worker threads and the timing phase
-    /// run either inline or on the ownership-partitioned concurrent
-    /// engine (see [`TimingMode`]); bit-identical to [`run`](Self::run)
-    /// at every worker count and in both modes.
+    /// Replay a whole trace with classification sharded across
+    /// [`worker_threads`] worker threads; bit-identical to
+    /// [`run`](Self::run) at every worker count.
     ///
     /// The trace is consumed in classification *windows* of
     /// [`set_replay_window`](Self::set_replay_window) accesses: each
     /// window is partitioned by core (preserving per-core program
     /// order), classified in parallel through the per-shard private
     /// hierarchies into SoA batches, and drained through the same
-    /// earliest-clock tournament the sequential path uses. A core
-    /// whose batch runs dry but which still has undiscovered accesses
-    /// stays in the tree as a *ghost* keyed by its clock — exactly
-    /// where the sequential tree would hold it — and a ghost winning
-    /// triggers the next window refill, so the merge order is exact
-    /// while peak buffering stays near one window instead of the whole
-    /// trace.
+    /// earliest-clock tournament the sequential path uses (see the
+    /// module docs on ghost slots), so peak buffering stays near one
+    /// window instead of the whole trace.
     pub fn run_parallel(&mut self, trace: &[TraceAccess]) -> TraceSimReport {
-        let cores = self.hierarchies.len();
-        self.last_pipe_stats = par::PipeStats::default();
-        self.last_peak_buffer = 0;
-        self.peak_buffered_accesses = 0;
-        self.timing_stats = TimingEngineStats::default();
-        if trace.is_empty() {
-            return self.finish();
+        let cores = self.cores();
+        let t_partition = self.telemetry.is_some().then(Instant::now);
+        let mut remaining = vec![0usize; cores];
+        for &t in trace {
+            remaining[partition_by_core(t.core, cores)] += 1;
         }
-        let window = self.replay_window.max(1);
-        let workers = worker_threads();
-        let engine = self.timing_mode() == TimingMode::Concurrent && workers >= 2;
-        par::with_threads(workers, || {
-            // Pass 0: how many accesses each shard will eventually
-            // receive, so a dry batch can be told apart from a
-            // finished core.
-            let t_partition = self.telemetry.is_some().then(Instant::now);
-            let mut remaining = vec![0usize; cores];
-            for &t in trace {
-                remaining[partition_by_core(t.core, cores)] += 1;
-            }
-            if let (Some(log), Some(t0)) = (&mut self.telemetry, t_partition) {
-                log.end(
-                    t0,
-                    "partition",
-                    "replay",
-                    0,
-                    [("accesses", trace.len() as f64)],
-                );
-            }
-            let hierarchies = std::mem::take(&mut self.hierarchies);
-            let mut shards: Vec<StreamShard> = hierarchies
-                .into_iter()
-                .map(|h| StreamShard {
-                    hier: h,
-                    pending: Vec::new(),
-                    queue: ClassifiedSoa::new(),
-                })
-                .collect();
-            let mut tree: LoserTree<SimTime> = LoserTree::new(cores);
-            for (c, &left) in remaining.iter().enumerate() {
-                if left > 0 {
-                    tree.set(c, self.core_clock[c]);
-                }
-            }
-            let mut input = ReplayInput::Raw { trace, next: 0 };
-            if engine {
-                self.windowed_engine(
-                    &mut input,
-                    &mut shards,
-                    &mut remaining,
-                    &mut tree,
-                    window,
-                    workers,
-                );
-            }
-            // Everything if the engine was off; the tail if it bailed
-            // out; a no-op if it ran to completion.
-            self.windowed_inline(&mut input, &mut shards, &mut remaining, &mut tree, window);
-            self.hierarchies = shards.into_iter().map(|u| u.hier).collect();
-        });
+        if let (Some(log), Some(t0)) = (&mut self.telemetry, t_partition) {
+            log.end(
+                t0,
+                "partition",
+                "replay",
+                0,
+                [("accesses", trace.len() as f64)],
+            );
+        }
+        self.drain(ReplayInput::Raw { trace, next: 0 }, remaining);
         self.finish()
     }
 
@@ -1815,11 +1288,11 @@ impl TraceSim {
     /// generators never run and the private cache hierarchies are
     /// never consulted — each refill is a memcpy of the artifact's SoA
     /// slices — yet the merge discipline, MSHR/mesh/bank models,
-    /// migration ticks, worker counts, and both [`TimingMode`]s behave
-    /// exactly as in [`run_parallel`](Self::run_parallel), so the
-    /// report and every device statistic are **bit-identical** to a
-    /// fresh [`run`](Self::run) of the same trace (the differential
-    /// suite proves it across generators × setups × workers × modes).
+    /// migration ticks and worker counts behave exactly as in
+    /// [`run_parallel`](Self::run_parallel), so the report and every
+    /// device statistic are **bit-identical** to a fresh
+    /// [`run`](Self::run) of the same trace (the differential suite
+    /// proves it across generators × setups × workers).
     ///
     /// Because classification never happens here, this simulator's
     /// private-hierarchy counters stay at zero; classification-stage
@@ -1833,7 +1306,7 @@ impl TraceSim {
     /// [`ClassifyKey`](crate::classified::ClassifyKey) exists to
     /// prevent (a changed key must invalidate, not alias).
     pub fn run_classified(&mut self, ct: &ClassifiedTrace) -> TraceSimReport {
-        let cores = self.hierarchies.len();
+        let cores = self.cores();
         assert_eq!(
             ct.cores() as usize,
             cores,
@@ -1849,101 +1322,202 @@ impl TraceSim {
             ct.key().classify_sig(),
             self.classify_sig
         );
-        self.last_pipe_stats = par::PipeStats::default();
-        self.last_peak_buffer = 0;
-        self.peak_buffered_accesses = 0;
-        self.timing_stats = TimingEngineStats::default();
-        if ct.accesses() == 0 {
-            return self.finish();
-        }
-        let window = self.replay_window.max(1);
-        let workers = worker_threads();
-        let engine = self.timing_mode() == TimingMode::Concurrent && workers >= 2;
-        par::with_threads(workers, || {
-            let mut remaining: Vec<usize> = (0..cores).map(|c| ct.per_core_len(c)).collect();
-            let hierarchies = std::mem::take(&mut self.hierarchies);
-            let mut shards: Vec<StreamShard> = hierarchies
-                .into_iter()
-                .map(|h| StreamShard {
-                    hier: h,
-                    pending: Vec::new(),
-                    queue: ClassifiedSoa::new(),
-                })
-                .collect();
-            let mut tree: LoserTree<SimTime> = LoserTree::new(cores);
-            for (c, &left) in remaining.iter().enumerate() {
-                if left > 0 {
-                    tree.set(c, self.core_clock[c]);
-                }
-            }
-            let mut input = ReplayInput::Classified {
-                ct,
-                next: vec![0; cores],
-            };
-            if engine {
-                self.windowed_engine(
-                    &mut input,
-                    &mut shards,
-                    &mut remaining,
-                    &mut tree,
-                    window,
-                    workers,
-                );
-            }
-            self.windowed_inline(&mut input, &mut shards, &mut remaining, &mut tree, window);
-            self.hierarchies = shards.into_iter().map(|u| u.hier).collect();
-        });
+        let remaining = (0..cores).map(|c| ct.per_core_len(c)).collect();
+        let input = ReplayInput::Classified {
+            ct,
+            next: vec![0; cores],
+        };
+        self.drain(input, remaining);
         self.finish()
     }
 
-    /// Refill the per-shard batches with the next window of input —
-    /// classifying a raw trace slice, or copying prebuilt slices from
-    /// a [`ClassifiedTrace`]. Returns `false` when the input is
-    /// exhausted. Also the window boundary at which the batched mesh
-    /// tally folds back into the shared counters.
-    fn refill_window(
+    /// Replay a trace pulled incrementally from `fill`, overlapping
+    /// generation with classification and timing; bit-identical to
+    /// [`run`](Self::run) on the concatenation of the filled chunks.
+    ///
+    /// `fill` appends the next bounded chunk of the trace to the given
+    /// buffer and returns how many accesses it added; returning 0 ends
+    /// the stream. It runs on a producer thread behind a depth-2
+    /// bounded queue ([`par::pipelined`]), so chunk `n + 1` is
+    /// generated while chunk `n` is classified and replayed. Within
+    /// the consumer, each refill is partitioned by core and classified
+    /// on [`worker_threads`] workers exactly as in
+    /// [`run_parallel`](Self::run_parallel).
+    ///
+    /// `remaining` gives the number of accesses the stream holds for
+    /// each of this simulator's cores (folded with
+    /// [`partition_by_core`]); `workloads::tracegen::TraceSource`
+    /// reports it. With exact counts a core's slot closes the moment
+    /// its last access is replayed, so buffering stays near one chunk
+    /// whatever the spread of work over cores. Without them (`None`),
+    /// every dry core stays a ghost until the stream ends: still exact,
+    /// but a workload confined to a few cores then buffers up to the
+    /// whole classified trace.
+    ///
+    /// # Panics
+    ///
+    /// When `remaining` does not have one entry per core, or the
+    /// stream yields more accesses for a core than it counts.
+    pub fn run_streaming(
         &mut self,
-        input: &mut ReplayInput<'_>,
-        window: usize,
-        shards: &mut Vec<StreamShard>,
+        remaining: Option<Vec<u64>>,
+        mut fill: impl FnMut(&mut Vec<TraceAccess>) -> usize + Send,
+    ) -> TraceSimReport {
+        let cores = self.cores();
+        let remaining: Vec<usize> = match remaining {
+            Some(counts) => {
+                assert_eq!(counts.len(), cores, "one remaining count per core");
+                counts
+                    .into_iter()
+                    .map(|n| usize::try_from(n).expect("per-core count fits in usize"))
+                    .collect()
+            }
+            // Unknown counts: open until the stream ends (a refill
+            // that finds the stream exhausted zeroes them).
+            None => vec![usize::MAX; cores],
+        };
+        let tel_on = self.telemetry.is_some();
+        let ((), pipe_stats) = par::pipelined_stats(
+            2,
+            move || {
+                // Time each generation burst on the producer side.
+                let started = tel_on.then(Instant::now);
+                let mut buf = Vec::new();
+                let n = fill(&mut buf);
+                (n > 0).then(|| (buf, started.map(|s| (s, Instant::now()))))
+            },
+            |rx| self.drain(ReplayInput::Stream { rx }, remaining),
+        );
+        self.last_pipe_stats = pipe_stats;
+        self.finish()
+    }
+
+    /// The one merge loop behind [`run_parallel`](Self::run_parallel),
+    /// [`run_classified`](Self::run_classified) and
+    /// [`run_streaming`](Self::run_streaming): the earliest-clock
+    /// tournament of [`run`](Self::run), fed by refills from `input`.
+    /// `remaining[c]` counts core `c`'s accesses not yet handed to its
+    /// batch. A core stays in the tree while it has buffered or
+    /// remaining work; when the winner's batch is empty (a *ghost*),
+    /// the next refill runs and nothing is consumed, so the order is
+    /// exactly the sequential one.
+    fn drain(&mut self, mut input: ReplayInput<'_, '_>, mut remaining: Vec<usize>) {
+        let cores = self.cores();
+        self.last_pipe_stats = par::PipeStats::default();
+        self.last_peak_buffer = 0;
+        self.peak_buffered_accesses = 0;
+        let mut shards: Vec<ReplayShard> = std::mem::take(&mut self.hierarchies)
+            .into_iter()
+            .map(|hier| ReplayShard {
+                hier,
+                pending: Vec::new(),
+                queue: ClassifiedSoa::new(),
+            })
+            .collect();
+        let mut tree: LoserTree<SimTime> = LoserTree::new(cores);
+        for (c, &left) in remaining.iter().enumerate() {
+            if left > 0 {
+                tree.set(c, self.core_clock[c]);
+            }
+        }
+        let tel_on = self.telemetry.is_some();
+        par::with_threads(worker_threads(), || {
+            let mut t_merge = tel_on.then(Instant::now);
+            let mut drained = 0u64;
+            while let Some(c) = tree.winner() {
+                if shards[c].queue.is_empty() {
+                    // Ghost: this core's clock is the earliest but its
+                    // next access has not been classified yet.
+                    self.log_merge(t_merge, std::mem::take(&mut drained));
+                    if !self.refill(&mut input, &mut shards, &mut remaining) {
+                        // Input exhausted: no dry core gets more work.
+                        for (d, shard) in shards.iter().enumerate() {
+                            if shard.queue.is_empty() {
+                                tree.close(d);
+                            }
+                        }
+                    }
+                    t_merge = tel_on.then(Instant::now);
+                    continue;
+                }
+                let (addr, sram_lat, dependent, level) =
+                    shards[c].queue.pop().expect("non-empty batch");
+                self.access_timed(c, addr, dependent, level, sram_lat);
+                drained += 1;
+                if shards[c].queue.is_empty() && remaining[c] == 0 {
+                    tree.close(c);
+                } else {
+                    tree.set(c, self.core_clock[c]);
+                }
+            }
+            self.log_merge(t_merge, drained);
+        });
+        if let ReplayInput::Stream { rx } = input {
+            assert!(
+                rx.recv().is_none(),
+                "stream yielded more accesses than its per-core counts"
+            );
+        }
+        self.hierarchies = shards.into_iter().map(|u| u.hier).collect();
+    }
+
+    /// Close one merge span covering `drained` accesses since `t0`
+    /// (nothing when spans are off or the segment was empty).
+    fn log_merge(&mut self, t0: Option<Instant>, drained: u64) {
+        if let (Some(log), Some(t0)) = (&mut self.telemetry, t0) {
+            if drained > 0 {
+                log.end(t0, "merge", "replay", 0, [("accesses", drained as f64)]);
+            }
+        }
+    }
+
+    /// Refill the per-shard batches from `input` — classifying the next
+    /// window of a raw trace or the next streamed chunk, or copying
+    /// prebuilt slices from a [`ClassifiedTrace`]. Returns `false`
+    /// when the input is exhausted. Also the boundary at which the
+    /// batched mesh tally folds back into the shared counters.
+    fn refill(
+        &mut self,
+        input: &mut ReplayInput<'_, '_>,
+        shards: &mut [ReplayShard],
         remaining: &mut [usize],
     ) -> bool {
         self.flush_mesh_tally();
-        let cores = shards.len();
-        let mut raw_bytes = 0usize;
-        match input {
+        let window = self.replay_window;
+        let raw_accesses = match input {
             ReplayInput::Raw { trace, next } => {
                 if *next >= trace.len() {
                     return false;
                 }
                 let end = (*next + window).min(trace.len());
-                let slice = &trace[*next..end];
-                let t_classify = self.telemetry.is_some().then(Instant::now);
-                for &t in slice {
-                    let c = partition_by_core(t.core, cores);
-                    shards[c].pending.push(t);
-                    remaining[c] -= 1;
-                }
-                par::par_update(shards, |_, u| {
-                    classify_into(&mut u.hier, &mut u.pending, &mut u.queue);
-                });
-                raw_bytes = slice.len() * std::mem::size_of::<TraceAccess>();
+                self.classify_chunk(&trace[*next..end], shards, remaining);
+                let n = end - *next;
                 *next = end;
-                if let (Some(log), Some(t0)) = (&mut self.telemetry, t_classify) {
-                    log.end(
-                        t0,
-                        "classify",
+                n
+            }
+            ReplayInput::Stream { rx } => {
+                let Some((chunk, generated)) = rx.recv() else {
+                    remaining.fill(0);
+                    return false;
+                };
+                if let (Some(log), Some((s, e))) = (&mut self.telemetry, generated) {
+                    log.span_between(
+                        s,
+                        e,
+                        "generate",
                         "replay",
-                        0,
-                        [("accesses", slice.len() as f64)],
+                        1,
+                        [("accesses", chunk.len() as f64)],
                     );
                 }
+                self.classify_chunk(&chunk, shards, remaining);
+                chunk.len()
             }
             ReplayInput::Classified { ct, next } => {
                 // Top up every dry core with its next slice; cores
                 // split the window budget evenly, so a full refill
                 // copies at most ~one window across all shards.
-                let per_core = (window / cores.max(1)).max(1);
+                let per_core = (window / shards.len().max(1)).max(1);
                 let mut copied = 0usize;
                 for (c, shard) in shards.iter_mut().enumerate() {
                     if remaining[c] == 0 || !shard.queue.is_empty() {
@@ -1965,9 +1539,10 @@ impl TraceSim {
                 if copied == 0 {
                     return false;
                 }
+                0
             }
-        }
-        let mut buffered = raw_bytes;
+        };
+        let mut buffered = raw_accesses * std::mem::size_of::<TraceAccess>();
         let mut backlog = 0usize;
         for u in shards.iter() {
             buffered += u.queue.buffered_bytes();
@@ -1975,791 +1550,38 @@ impl TraceSim {
         }
         self.last_peak_buffer = self.last_peak_buffer.max(buffered);
         self.peak_buffered_accesses = self.peak_buffered_accesses.max(backlog);
-        self.timing_stats.windows += 1;
         true
     }
 
-    /// The inline timing loop of the windowed replay: identical merge
-    /// discipline to [`run`](Self::run), with ghost-slot refills.
-    fn windowed_inline(
+    /// Partition `chunk` by core (taking each access off its core's
+    /// remaining count) and classify every shard's share in parallel.
+    fn classify_chunk(
         &mut self,
-        input: &mut ReplayInput<'_>,
-        shards: &mut Vec<StreamShard>,
+        chunk: &[TraceAccess],
+        shards: &mut [ReplayShard],
         remaining: &mut [usize],
-        tree: &mut LoserTree<SimTime>,
-        window: usize,
     ) {
-        let tel_on = self.telemetry.is_some();
-        let mut t_merge = tel_on.then(Instant::now);
-        let mut drained = 0u64;
-        while let Some(c) = tree.winner() {
-            if shards[c].queue.is_empty() {
-                // Ghost: this core's clock is the earliest but its next
-                // access is still unclassified — pull the next window.
-                if drained > 0 {
-                    if let (Some(log), Some(t0)) = (&mut self.telemetry, t_merge) {
-                        log.end(t0, "merge", "replay", 0, [("accesses", drained as f64)]);
-                    }
-                    drained = 0;
-                }
-                let refilled = self.refill_window(input, window, shards, remaining);
-                assert!(refilled, "ghost winner with no trace left");
-                t_merge = tel_on.then(Instant::now);
-                continue;
-            }
-            let (addr, sram_lat, dependent, level) =
-                shards[c].queue.pop().expect("non-empty batch");
-            self.access_timed(c, addr, dependent, level, sram_lat);
-            drained += 1;
-            if shards[c].queue.is_empty() && remaining[c] == 0 {
-                tree.close(c);
-            } else {
-                tree.set(c, self.core_clock[c]);
-            }
-        }
-        if drained > 0 {
-            if let (Some(log), Some(t0)) = (&mut self.telemetry, t_merge) {
-                log.end(t0, "merge", "replay", 0, [("accesses", drained as f64)]);
-            }
-        }
-    }
-
-    /// Accumulate one completed access into its shard's totals
-    /// (the tail of [`access_timed`](Self::access_timed), shared with
-    /// the engine's inline-exact paths).
-    fn note_access(&mut self, core: usize, latency: Duration, done: SimTime) {
-        let totals = &mut self.core_totals[core];
-        totals.accesses += 1;
-        totals.total_latency += latency;
-        let end = done.since(SimTime::ZERO);
-        if end > totals.makespan {
-            totals.makespan = end;
-        }
-    }
-
-    /// Run the windowed replay with the concurrent timing engine:
-    /// split both DRAM models into per-channel lanes owned by gang
-    /// workers, sequence the exact merge order while deferring device
-    /// pricing to the gang, and flush whenever a decision needs a real
-    /// completion time. Bails back to the caller (leaving fully
-    /// consistent state for [`windowed_inline`](Self::windowed_inline))
-    /// when the flush pattern shows the trace serializes.
-    #[allow(clippy::too_many_arguments)]
-    fn windowed_engine(
-        &mut self,
-        input: &mut ReplayInput<'_>,
-        shards: &mut Vec<StreamShard>,
-        remaining: &mut [usize],
-        tree: &mut LoserTree<SimTime>,
-        window: usize,
-        workers: usize,
-    ) {
-        let ddr_lanes = self.ddr.split_lanes();
-        let hbm_lanes = self.hbm.split_lanes();
-        let lane_count = ddr_lanes.len() + hbm_lanes.len();
-        let gang_threads = workers.min(lane_count).max(1);
-        let mut worker_lanes: Vec<Vec<(u8, DramLane)>> =
-            (0..gang_threads).map(|_| Vec::new()).collect();
-        let mut owner_ddr = vec![0usize; self.ddr.geometry().channels as usize];
-        let mut owner_hbm = vec![0usize; self.hbm.geometry().channels as usize];
-        let mut slot = 0usize;
-        for lane in ddr_lanes {
-            owner_ddr[lane.channel() as usize] = slot % gang_threads;
-            worker_lanes[slot % gang_threads].push((DEV_DDR, lane));
-            slot += 1;
-        }
-        for lane in hbm_lanes {
-            owner_hbm[lane.channel() as usize] = slot % gang_threads;
-            worker_lanes[slot % gang_threads].push((DEV_HBM, lane));
-            slot += 1;
-        }
-        self.timing_stats.owner_ops = vec![0u64; gang_threads];
-        self.timing_stats.owner_peak_ops = vec![0u64; gang_threads];
-        let gang: Gang<Arc<PricePlan>> = Gang::new(gang_threads);
-        let ctx = EngineCtx {
-            gang: &gang,
-            owner_ddr,
-            owner_hbm,
-            ddr_geo: self.ddr.geometry(),
-            hbm_geo: self.hbm.geometry(),
-            ddr_min: self.ddr.min_service(),
-            hbm_min: self.hbm.min_service(),
-            workers: gang_threads,
-        };
-        let (ddr_back, hbm_back) = std::thread::scope(|s| {
-            let handles: Vec<_> = worker_lanes
-                .into_iter()
-                .enumerate()
-                .map(|(me, mut lanes)| {
-                    let gang = &gang;
-                    s.spawn(move || {
-                        price_worker(gang, me, &mut lanes);
-                        lanes
-                    })
-                })
-                .collect();
-            // A sequencer panic must still shut the gang down, or the
-            // workers spin forever and the scope never joins (turning
-            // a clean panic into a hang).
-            let sequenced = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.sequence_windows(input, shards, remaining, tree, window, &ctx)
-            }));
-            gang.shutdown();
-            if let Err(payload) = sequenced {
-                for h in handles {
-                    let _ = h.join();
-                }
-                std::panic::resume_unwind(payload);
-            }
-            let mut ddr_back = Vec::new();
-            let mut hbm_back = Vec::new();
-            for h in handles {
-                for (dev, lane) in h.join().expect("pricing worker panicked") {
-                    if dev == DEV_DDR {
-                        ddr_back.push(lane);
-                    } else {
-                        hbm_back.push(lane);
-                    }
-                }
-            }
-            (ddr_back, hbm_back)
-        });
-        self.ddr.absorb_lanes(ddr_back);
-        self.hbm.absorb_lanes(hbm_back);
-    }
-
-    /// The engine's sequencer loop (runs on the merge thread while the
-    /// gang owns the lanes). Every decision either provably matches
-    /// the sequential replay under any completion times at or above
-    /// the deferred lower bounds, or forces a flush first.
-    #[allow(clippy::too_many_arguments)]
-    fn sequence_windows(
-        &mut self,
-        input: &mut ReplayInput<'_>,
-        shards: &mut Vec<StreamShard>,
-        remaining: &mut [usize],
-        tree: &mut LoserTree<SimTime>,
-        window: usize,
-        ctx: &EngineCtx<'_>,
-    ) {
-        let mut st = EngineState {
-            ops: Vec::new(),
-            lists: (0..ctx.workers).map(|_| Vec::new()).collect(),
-            allocs: Vec::new(),
-            merges: Vec::new(),
-            pending: HashMap::new(),
-            deferred: vec![0; shards.len()],
-            blocked: Vec::new(),
-        };
-        let cycle = Duration::from_cycles(1, crate::calib::CORE_GHZ);
-        let tel_on = self.telemetry.is_some();
-        let ts_on = self.timeseries.is_some();
-        // A sampling boundary lands on some consumed access; its
-        // pre-stall clock is parked here and the sample taken at the
-        // top of the next iteration, after a telemetry flush resolves
-        // every deferred completion — so the probed MSHR files and
-        // accumulated waits match the sequential replay exactly.
-        let mut ts_due: Option<SimTime> = None;
-        let mut t_merge = tel_on.then(Instant::now);
-        let mut drained = 0u64;
-        macro_rules! merge_span {
-            () => {
-                if drained > 0 {
-                    if let (Some(log), Some(t0)) = (&mut self.telemetry, t_merge) {
-                        log.end(t0, "merge", "replay", 0, [("accesses", drained as f64)]);
-                    }
-                    drained = 0;
-                }
-                t_merge = tel_on.then(Instant::now);
-            };
-        }
-        loop {
-            // Handle a pending sampling boundary before anything else
-            // (even bail-out), so no boundary is ever lost.
-            if let Some(now0) = ts_due.take() {
-                if !st.ops.is_empty() {
-                    self.engine_flush(&mut st, ctx, tree, shards, remaining, FlushCause::Telemetry);
-                }
-                self.ts_sample(now0);
-            }
-            // Degenerate-pattern bail-out: consistently tiny batches
-            // mean the trace serializes and the gang is pure overhead.
-            let ts = &self.timing_stats;
-            if ts.flushes >= ENGINE_BAILOUT_FLUSHES
-                && ts.ops < ts.flushes * ENGINE_BAILOUT_MIN_OPS_PER_FLUSH
-            {
-                self.engine_flush(&mut st, ctx, tree, shards, remaining, FlushCause::Drain);
-                self.timing_stats.bailed_out = true;
-                break;
-            }
-            let Some(w) = tree.winner() else {
-                if !st.ops.is_empty() {
-                    self.engine_flush(&mut st, ctx, tree, shards, remaining, FlushCause::Drain);
-                    continue;
-                }
-                break;
-            };
-            let issue = self.core_clock[w];
-            // A blocked dependent core sits, in the sequential replay,
-            // in the tree at its real completion time `done ≥ bound`.
-            // Overtaking it is only provably correct while
-            // `(key, slot)` orders strictly below every blocked
-            // `(bound, core)`.
-            if let Some(&(bound, b)) = st.blocked.iter().min_by_key(|&&(t, c)| (t, c)) {
-                if (issue, w) >= (bound, b) {
-                    self.engine_flush(&mut st, ctx, tree, shards, remaining, FlushCause::Blocked);
-                    continue;
-                }
-            }
-            if shards[w].queue.is_empty() {
-                // Ghost winner: refill the classification window.
-                merge_span!();
-                let refilled = self.refill_window(input, window, shards, remaining);
-                assert!(refilled, "ghost winner with no trace left");
-                continue;
-            }
-            let (addr, sram_lat, dependent, level) =
-                shards[w].queue.peek().expect("non-empty batch");
-            if level != LevelHit::Memory && level != LevelHit::McdramCache {
-                // Private-cache hit: clock arithmetic only, always
-                // exact. Consumes the access, so the migration clock
-                // ticks here (never on a flush-retry path above).
-                self.migrate_tick(addr, false, issue);
-                if ts_on && self.ts_tick() {
-                    ts_due = Some(issue);
-                }
-                let done = issue + sram_lat;
-                self.note_access(w, sram_lat, done);
-                self.core_clock[w] = if dependent { done } else { issue + cycle };
-                shards[w].queue.advance();
-                drained += 1;
-                if shards[w].queue.is_empty() && remaining[w] == 0 {
-                    tree.close(w);
-                } else {
-                    tree.set(w, self.core_clock[w]);
-                }
-                continue;
-            }
-            // Memory-level access: MSHR discipline plus device pricing.
-            if tel_on && st.deferred[w] > 0 {
-                // The occupancy histogram samples this core's retired
-                // file at every register call; placeholders would skew
-                // it.
-                self.engine_flush(&mut st, ctx, tree, shards, remaining, FlushCause::Telemetry);
-                continue;
-            }
-            let line = addr & !(self.line_bytes - 1);
-            if let Some(&ai) = st.pending.get(&(w as u32, line)) {
-                let primary = &st.allocs[ai as usize];
-                if issue >= primary.done_lb {
-                    // The placeholder may already have retired in the
-                    // sequential replay — undecidable without the real
-                    // completion.
-                    self.engine_flush(&mut st, ctx, tree, shards, remaining, FlushCause::Mshr);
-                    continue;
-                }
-                // Provably still in flight: a genuine secondary miss.
-                // Past the flush-retry check, the access is consumed.
-                let bound = primary.done_lb;
-                self.migrate_tick(addr, level == LevelHit::Memory, issue);
-                if ts_on && self.ts_tick() {
-                    ts_due = Some(issue);
-                }
-                match self.mshrs[w].register(line, issue) {
-                    MshrOutcome::Merged { .. } => {}
-                    other => unreachable!("pending line must merge, got {other:?}"),
-                }
-                let floor = issue + sram_lat;
-                st.merges.push(DefMerge {
-                    core: w as u32,
-                    alloc: ai,
-                    floor,
-                    issue,
-                    dependent,
-                });
-                self.core_totals[w].accesses += 1;
-                shards[w].queue.advance();
-                drained += 1;
-                if dependent {
-                    st.blocked.push((bound.max(floor), w));
-                    tree.close(w);
-                } else {
-                    self.core_clock[w] = issue + cycle;
-                    if shards[w].queue.is_empty() && remaining[w] == 0 {
-                        tree.close(w);
-                    } else {
-                        tree.set(w, self.core_clock[w]);
-                    }
-                }
-                continue;
-            }
-            if st.deferred[w] > 0
-                && self.mshrs[w].probe_occupancy(issue) >= self.mshrs[w].capacity()
-            {
-                // Placeholders count as in flight, so a full probe
-                // cannot rule out that the real file has free entries
-                // (no stall) — or none (stall). Resolve first.
-                self.engine_flush(&mut st, ctx, tree, shards, remaining, FlushCause::Mshr);
-                continue;
-            }
-            // From here the register call is exact: with deferred
-            // state the probe guaranteed no stall; without it, this
-            // core's file holds only real completions and the
-            // sequential stall loop applies as-is. The access is now
-            // definitely consumed (merged or allocated), so tick —
-            // with the pre-stall clock, matching `access_timed`.
-            self.migrate_tick(addr, level == LevelHit::Memory, issue);
-            if ts_on && self.ts_tick() {
-                ts_due = Some(issue);
-            }
-            let mut issue = issue;
-            let mut merged_done = None;
-            loop {
-                match self.mshrs[w].register(line, issue) {
-                    MshrOutcome::Allocated => break,
-                    MshrOutcome::Merged { ready_at } => {
-                        debug_assert_ne!(ready_at.as_ps(), u64::MAX, "merged into a placeholder");
-                        merged_done = Some(ready_at.max(issue + sram_lat));
-                        break;
-                    }
-                    MshrOutcome::Stall { free_at } => {
-                        debug_assert_eq!(st.deferred[w], 0, "stall while deferring");
-                        issue = free_at;
-                    }
-                }
-            }
-            if let Some(done) = merged_done {
-                // Merged into a fully-priced in-flight line: exact.
-                self.note_access(w, done.since(issue), done);
-                self.core_clock[w] = if dependent { done } else { issue + cycle };
-                shards[w].queue.advance();
-                drained += 1;
-                if shards[w].queue.is_empty() && remaining[w] == 0 {
-                    tree.close(w);
-                } else {
-                    tree.set(w, self.core_clock[w]);
-                }
-                continue;
-            }
-            // Allocated: emit the device op(s) and defer completion.
-            self.core_totals[w].memory_accesses += 1;
-            let is_hbm_target = match (&self.msc, level) {
-                (Some(_), LevelHit::McdramCache) => true,
-                (Some(_), _) => false,
-                (None, _) => self.route_hbm(addr),
-            };
-            self.note_mesh_message(if is_hbm_target {
-                self.hops_hbm
-            } else {
-                self.hops_ddr
+        let t_classify = self.telemetry.is_some().then(Instant::now);
+        let cores = shards.len();
+        for &t in chunk {
+            let c = partition_by_core(t.core, cores);
+            remaining[c] = remaining[c].checked_sub(1).unwrap_or_else(|| {
+                panic!("replay input yielded more accesses for core {c} than it counted")
             });
-            let resp_half = if is_hbm_target {
-                self.resp_half_hbm
-            } else {
-                self.resp_half_ddr
-            };
-            let arrive = self.migrate_floor(addr, issue + sram_lat + resp_half);
-            let (op, done_lb) = match (&self.msc, level) {
-                (Some(_), LevelHit::McdramCache) => {
-                    self.core_totals[w].mcdram_cache_hits += 1;
-                    let op = emit_op(
-                        &mut st,
-                        ctx,
-                        DEV_HBM,
-                        ctx.hbm_geo.map_packed(addr),
-                        arrive.as_ps(),
-                        NO_DEP,
-                    );
-                    (op, arrive + ctx.hbm_min + resp_half)
-                }
-                (Some(_), _) => {
-                    // Cache-mode miss: tag probe in MCDRAM, DDR fetch,
-                    // fill write back into MCDRAM (fill off the
-                    // critical path but ordered on its lane).
-                    let tag = emit_op(
-                        &mut st,
-                        ctx,
-                        DEV_HBM,
-                        ctx.hbm_geo.map_packed(addr),
-                        arrive.as_ps(),
-                        NO_DEP,
-                    );
-                    let data = emit_op(&mut st, ctx, DEV_DDR, ctx.ddr_geo.map_packed(addr), 0, tag);
-                    let _fill =
-                        emit_op(&mut st, ctx, DEV_HBM, ctx.hbm_geo.map_packed(addr), 0, data);
-                    (data, arrive + ctx.hbm_min + ctx.ddr_min + resp_half)
-                }
-                (None, _) => {
-                    if is_hbm_target {
-                        let op = emit_op(
-                            &mut st,
-                            ctx,
-                            DEV_HBM,
-                            ctx.hbm_geo.map_packed(addr),
-                            arrive.as_ps(),
-                            NO_DEP,
-                        );
-                        (op, arrive + ctx.hbm_min + resp_half)
-                    } else {
-                        let op = emit_op(
-                            &mut st,
-                            ctx,
-                            DEV_DDR,
-                            ctx.ddr_geo.map_packed(addr),
-                            arrive.as_ps(),
-                            NO_DEP,
-                        );
-                        (op, arrive + ctx.ddr_min + resp_half)
-                    }
-                }
-            };
-            if ts_on {
-                // Lines are counted at emission (consumption order);
-                // the queue-wait overshoot is only known at flush time.
-                self.ts_note_lines(level, is_hbm_target);
-            }
-            let ai = st.allocs.len() as u32;
-            st.allocs.push(DefAlloc {
-                core: w as u32,
-                op,
-                line,
-                issue,
-                resp_half,
-                done_lb,
-                dependent,
-            });
-            st.pending.insert((w as u32, line), ai);
-            st.deferred[w] += 1;
-            self.core_totals[w].accesses += 1;
-            shards[w].queue.advance();
-            drained += 1;
-            if dependent {
-                st.blocked.push((done_lb, w));
-                tree.close(w);
-            } else {
-                self.core_clock[w] = issue + cycle;
-                if shards[w].queue.is_empty() && remaining[w] == 0 {
-                    tree.close(w);
-                } else {
-                    tree.set(w, self.core_clock[w]);
-                }
-            }
-            if st.ops.len() >= ENGINE_OPS_CAP {
-                self.engine_flush(&mut st, ctx, tree, shards, remaining, FlushCause::Capacity);
-            }
+            shards[c].pending.push(t);
         }
-        // A boundary on the very last consumed access (or one pending
-        // at bail-out, whose flush already ran) still owes a sample.
-        if let Some(now0) = ts_due.take() {
-            debug_assert!(st.ops.is_empty());
-            self.ts_sample(now0);
-        }
-        debug_assert!(st.ops.is_empty() && st.blocked.is_empty());
-        merge_span!();
-        let _ = (t_merge, drained);
-    }
-
-    /// Dispatch the pending batch to the gang and resolve every
-    /// deferred completion exactly: primaries in emission order, then
-    /// merges (which only reference earlier primaries), then unblock
-    /// the dependent cores at their now-known clocks.
-    fn engine_flush(
-        &mut self,
-        st: &mut EngineState,
-        ctx: &EngineCtx<'_>,
-        tree: &mut LoserTree<SimTime>,
-        shards: &[StreamShard],
-        remaining: &[usize],
-        cause: FlushCause,
-    ) {
-        if st.ops.is_empty() {
-            debug_assert!(st.allocs.is_empty() && st.merges.is_empty() && st.blocked.is_empty());
-            return;
-        }
-        {
-            let ts = &mut self.timing_stats;
-            ts.flushes += 1;
-            ts.ops += st.ops.len() as u64;
-            ts.max_ops_per_flush = ts.max_ops_per_flush.max(st.ops.len() as u64);
-            match cause {
-                FlushCause::Mshr => ts.flush_mshr += 1,
-                FlushCause::Blocked => ts.flush_blocked += 1,
-                FlushCause::Capacity => ts.flush_capacity += 1,
-                FlushCause::Telemetry => ts.flush_telemetry += 1,
-                FlushCause::Drain => ts.flush_drain += 1,
-            }
-            for (worker, list) in st.lists.iter().enumerate() {
-                ts.owner_ops[worker] += list.len() as u64;
-                ts.owner_peak_ops[worker] = ts.owner_peak_ops[worker].max(list.len() as u64);
-            }
-        }
-        let plan = Arc::new(PricePlan {
-            ops: std::mem::take(&mut st.ops),
-            lists: std::mem::take(&mut st.lists),
+        par::par_update(shards, |_, u| {
+            classify_into(&mut u.hier, &mut u.pending, &mut u.queue);
         });
-        // The barrier in dispatch makes every worker's stores visible.
-        ctx.gang.dispatch(Arc::clone(&plan));
-        let mut done_of = vec![SimTime::ZERO; st.allocs.len()];
-        for (i, a) in st.allocs.iter().enumerate() {
-            let served = plan.ops[a.op as usize].out.load(Ordering::Acquire);
-            debug_assert_ne!(served, OP_UNSET, "gang left an op unpriced");
-            let done = SimTime::from_ps(served) + a.resp_half;
-            debug_assert!(done >= a.done_lb, "completion below its lower bound");
-            done_of[i] = done;
-            self.mshrs[a.core as usize].complete_at(a.line, done);
-            if let Some(ts) = self.timeseries.as_deref_mut() {
-                // Queue-wait overshoot past the deferred lower bound,
-                // attributed to the device that served the critical
-                // op — the same `done - (arrive + min + resp_half)`
-                // the inline engines accumulate.
-                let id = if plan.ops[a.op as usize].dev == DEV_DDR {
-                    ts.ddr_wait
-                } else {
-                    ts.hbm_wait
-                };
-                ts.rec.add(id, done.since(a.done_lb).as_ps() as f64);
-            }
-            let totals = &mut self.core_totals[a.core as usize];
-            totals.total_latency += done.since(a.issue);
-            let end = done.since(SimTime::ZERO);
-            if end > totals.makespan {
-                totals.makespan = end;
-            }
-            if a.dependent {
-                self.core_clock[a.core as usize] = done;
-            }
+        if let (Some(log), Some(t0)) = (&mut self.telemetry, t_classify) {
+            log.end(
+                t0,
+                "classify",
+                "replay",
+                0,
+                [("accesses", chunk.len() as f64)],
+            );
         }
-        for m in &st.merges {
-            let done = done_of[m.alloc as usize].max(m.floor);
-            let totals = &mut self.core_totals[m.core as usize];
-            totals.total_latency += done.since(m.issue);
-            let end = done.since(SimTime::ZERO);
-            if end > totals.makespan {
-                totals.makespan = end;
-            }
-            if m.dependent {
-                self.core_clock[m.core as usize] = done;
-            }
-        }
-        for &(_, c) in &st.blocked {
-            if !shards[c].queue.is_empty() || remaining[c] > 0 {
-                tree.set(c, self.core_clock[c]);
-            }
-        }
-        st.blocked.clear();
-        st.allocs.clear();
-        st.merges.clear();
-        st.pending.clear();
-        st.deferred.iter_mut().for_each(|d| *d = 0);
-        st.lists = (0..ctx.workers).map(|_| Vec::new()).collect();
-    }
-
-    /// Replay a trace pulled incrementally from `fill`, overlapping
-    /// generation with classification and timing; bit-identical to
-    /// [`run`](Self::run) on the concatenation of the filled chunks.
-    ///
-    /// `fill` appends the next bounded chunk of the trace to the given
-    /// buffer and returns how many accesses it added; returning 0 ends
-    /// the stream. It runs on a producer thread behind a depth-2
-    /// bounded queue ([`par::pipelined`]), so chunk `n + 1` is
-    /// generated while chunk `n` is classified and replayed. Within
-    /// the consumer, each refill is partitioned by core and classified
-    /// on [`worker_threads`] workers exactly as in
-    /// [`run_parallel`](Self::run_parallel).
-    ///
-    /// The timing merge only selects a winner while every core that
-    /// could still receive work has at least one classified access
-    /// buffered — an empty queue's *next* access (still unseen) could
-    /// carry the earliest clock, and picking around it would diverge
-    /// from the sequential order. Workloads that spread accesses
-    /// across cores therefore buffer about one chunk; a workload
-    /// confined to a subset of cores (a single-core pointer chase is
-    /// the extreme) buffers the full classified trace, trading memory,
-    /// never correctness.
-    ///
-    /// [`set_streaming_lookahead_chunks`](Self::set_streaming_lookahead_chunks)
-    /// (or `TRACESIM_LOOKAHEAD_CHUNKS`) bounds that buildup: when the
-    /// classified backlog exceeds `cap × max_chunk` accesses the
-    /// consumer stops refilling and force-drains the cores that do
-    /// have work (the depth-2 pipe then backpressures the producer),
-    /// until the backlog halves. Draining around an empty core is
-    /// exact whenever that core never receives an earlier-clocked
-    /// access later — vacuously true for the single-core traces that
-    /// trigger unbounded buildup, which is what the cap is for. On
-    /// workloads that *do* later feed the starved cores the capped
-    /// replay is a bounded-memory approximation rather than
-    /// bit-identical, so the cap is off by default.
-    pub fn run_streaming(
-        &mut self,
-        mut fill: impl FnMut(&mut Vec<TraceAccess>) -> usize + Send,
-    ) -> TraceSimReport {
-        let cores = self.hierarchies.len();
-        self.last_peak_buffer = 0;
-        self.peak_buffered_accesses = 0;
-        let tel_on = self.telemetry.is_some();
-        // Explicit setter wins over the environment; 0 or unset means
-        // uncapped (the bit-exact default).
-        // Garbage values warn once via `simfabric::env` — the same
-        // contract as every other `TRACESIM_*` knob.
-        let lookahead_cap = self
-            .stream_lookahead_chunks
-            .or_else(|| simfabric::env::usize_var("TRACESIM_LOOKAHEAD_CHUNKS"))
-            .filter(|&n| n > 0);
-        let hierarchies = std::mem::take(&mut self.hierarchies);
-        let mut units: Vec<StreamShard> = hierarchies
-            .into_iter()
-            .map(|h| StreamShard {
-                hier: h,
-                pending: Vec::new(),
-                queue: ClassifiedSoa::new(),
-            })
-            .collect();
-        let ((), pipe_stats) = par::with_threads(worker_threads(), || {
-            par::pipelined_stats(
-                2,
-                move || {
-                    // Time each generation burst on the producer side;
-                    // the instants travel with the chunk because the
-                    // span log lives on the consumer thread.
-                    let started = tel_on.then(Instant::now);
-                    let mut buf = Vec::new();
-                    let n = fill(&mut buf);
-                    (n > 0).then(|| (buf, started.map(|s| (s, Instant::now()))))
-                },
-                |rx| {
-                    let mut tree: LoserTree<SimTime> = LoserTree::new(cores);
-                    let mut stream_done = false;
-                    // Cores whose queue is empty but could still gain
-                    // work; no winner may be selected while any exist.
-                    let mut hungry = cores;
-                    let mut max_chunk = 0usize;
-                    // Classified accesses buffered across all queues,
-                    // kept incrementally for the lookahead cap.
-                    let mut backlog = 0usize;
-                    // When set, refills pause (backpressuring the
-                    // producer through the bounded pipe) and the
-                    // non-empty queues drain until the backlog halves.
-                    let mut force_drain = false;
-                    loop {
-                        while hungry > 0 && !stream_done && !force_drain {
-                            let Some((chunk, generated)) = rx.recv() else {
-                                stream_done = true;
-                                hungry = 0;
-                                break;
-                            };
-                            if let (Some(log), Some((s, e))) = (&mut self.telemetry, generated) {
-                                log.span_between(
-                                    s,
-                                    e,
-                                    "generate",
-                                    "replay",
-                                    1,
-                                    [("accesses", chunk.len() as f64)],
-                                );
-                            }
-                            let t_classify = tel_on.then(Instant::now);
-                            let chunk_bytes = chunk.len() * std::mem::size_of::<TraceAccess>();
-                            max_chunk = max_chunk.max(chunk.len());
-                            for &t in &chunk {
-                                units[partition_by_core(t.core, cores)].pending.push(t);
-                            }
-                            par::par_update(&mut units, |_, u| {
-                                classify_into(&mut u.hier, &mut u.pending, &mut u.queue);
-                            });
-                            // Chunk boundary: fold the batched mesh
-                            // tally back into the shared counters.
-                            self.flush_mesh_tally();
-                            if let (Some(log), Some(t0)) = (&mut self.telemetry, t_classify) {
-                                log.end(
-                                    t0,
-                                    "classify",
-                                    "replay",
-                                    0,
-                                    [("accesses", chunk.len() as f64)],
-                                );
-                            }
-                            hungry = 0;
-                            let mut buffered = chunk_bytes;
-                            backlog = 0;
-                            for (c, u) in units.iter().enumerate() {
-                                buffered += u.queue.buffered_bytes();
-                                backlog += u.queue.len();
-                                if u.queue.is_empty() {
-                                    hungry += 1;
-                                } else if tree.key(c).is_none() {
-                                    tree.set(c, self.core_clock[c]);
-                                }
-                            }
-                            self.last_peak_buffer = self.last_peak_buffer.max(buffered);
-                            self.peak_buffered_accesses = self.peak_buffered_accesses.max(backlog);
-                            if let Some(cap) = lookahead_cap {
-                                if backlog > cap.saturating_mul(max_chunk) {
-                                    force_drain = true;
-                                }
-                            }
-                            if lookahead_cap.is_none() {
-                                if let Some(msg) = buffer_warning(backlog, max_chunk) {
-                                    static BUFFER_WARN_ONCE: std::sync::Once =
-                                        std::sync::Once::new();
-                                    BUFFER_WARN_ONCE.call_once(|| eprintln!("{msg}"));
-                                }
-                            }
-                        }
-                        // Drain winners until a queue runs dry while
-                        // the stream can still refill it (then loop
-                        // back to the refill phase) or until the tree
-                        // empties; one merge span covers each segment.
-                        let t_merge = tel_on.then(Instant::now);
-                        let mut drained = 0u64;
-                        while let Some(c) = tree.winner() {
-                            let (addr, sram_lat, dependent, level) =
-                                units[c].queue.pop().expect("winner has work");
-                            self.access_timed(c, addr, dependent, level, sram_lat);
-                            drained += 1;
-                            backlog -= 1;
-                            if units[c].queue.is_empty() {
-                                tree.close(c);
-                                if !stream_done {
-                                    hungry += 1;
-                                }
-                            } else {
-                                tree.set(c, self.core_clock[c]);
-                            }
-                            if force_drain {
-                                // Hysteresis: drain to half the cap so
-                                // refill and drain don't ping-pong on
-                                // every chunk.
-                                let cap = lookahead_cap.expect("force_drain only with a cap");
-                                if backlog * 2 <= cap.saturating_mul(max_chunk) {
-                                    force_drain = false;
-                                    if hungry > 0 && !stream_done {
-                                        break;
-                                    }
-                                }
-                            } else if hungry > 0 && !stream_done {
-                                break;
-                            }
-                        }
-                        // All queues ran dry under force-drain: nothing
-                        // left to drain, so resume refilling.
-                        if force_drain && tree.winner().is_none() {
-                            force_drain = false;
-                        }
-                        if drained > 0 {
-                            if let (Some(log), Some(t0)) = (&mut self.telemetry, t_merge) {
-                                log.end(t0, "merge", "replay", 0, [("accesses", drained as f64)]);
-                            }
-                        }
-                        if stream_done && tree.winner().is_none() {
-                            break;
-                        }
-                    }
-                },
-            )
-        });
-        self.last_pipe_stats = pipe_stats;
-        self.hierarchies = units.into_iter().map(|u| u.hier).collect();
-        self.finish()
     }
 
     /// Finalize and return the report (the order-independent reduction
@@ -2772,7 +1594,7 @@ impl TraceSim {
             // Close the trailing partial window. The far-future probe
             // time sees every MSHR entry as retired (`ready <= now`
             // fails for none of them), so the final in-flight gauge is
-            // zero in every engine; `close_window` is a no-op when the
+            // zero on every entry point; `close_window` is a no-op when the
             // run ended exactly on a boundary, keeping `finish`
             // idempotent.
             self.ts_sample(SimTime::from_ps(u64::MAX));
@@ -2829,6 +1651,30 @@ mod tests {
         (0..steps)
             .map(|i| TraceAccess::chase(core, (i * stride) % (1 << 30)))
             .collect()
+    }
+
+    /// Exact per-core access counts of `trace` on a `cores`-core sim.
+    fn per_core_counts(trace: &[TraceAccess], cores: usize) -> Option<Vec<u64>> {
+        let mut counts = vec![0u64; cores];
+        for t in trace {
+            counts[partition_by_core(t.core, cores)] += 1;
+        }
+        Some(counts)
+    }
+
+    /// A `run_streaming` fill that hands out `trace` `chunk` accesses
+    /// at a time.
+    fn chunked(
+        trace: &[TraceAccess],
+        chunk: usize,
+    ) -> impl FnMut(&mut Vec<TraceAccess>) -> usize + Send + '_ {
+        let mut off = 0;
+        move |buf| {
+            let n = trace.len().min(off + chunk) - off;
+            buf.extend_from_slice(&trace[off..off + n]);
+            off += n;
+            n
+        }
     }
 
     #[test]
@@ -3010,8 +1856,8 @@ mod tests {
         // Small smoke version of tests/parallel_equivalence.rs: the
         // sharded path must be bit-identical to the reference at
         // several worker counts (including more workers than cores),
-        // in both timing modes, and with a window far smaller than the
-        // trace so refills and ghost slots are exercised.
+        // and with a window far smaller than the trace so refills and
+        // ghost slots are exercised.
         let trace = stream_trace(4, 300);
         let mut seq = TraceSim::new(
             &cfg(MemSetup::DramOnly),
@@ -3021,37 +1867,27 @@ mod tests {
         );
         let expect = seq.run(&trace);
         for workers in [1, 2, 4, 8, 64] {
-            for mode in [TimingMode::Sequential, TimingMode::Concurrent] {
-                for window in [None, Some(64)] {
-                    let mut par_sim = TraceSim::new(
-                        &cfg(MemSetup::DramOnly),
-                        4,
-                        TracePlacement::AllDdr,
-                        ByteSize::mib(1),
+            for window in [None, Some(64)] {
+                let mut par_sim = TraceSim::new(
+                    &cfg(MemSetup::DramOnly),
+                    4,
+                    TracePlacement::AllDdr,
+                    ByteSize::mib(1),
+                );
+                if let Some(w) = window {
+                    par_sim.set_replay_window(w);
+                }
+                let got = par::with_threads(workers, || par_sim.run_parallel(&trace));
+                let at = format!("workers={workers} window={window:?}");
+                assert_eq!(got, expect, "{at}");
+                assert_eq!(par_sim.ddr_stats(), seq.ddr_stats(), "{at}");
+                assert_eq!(par_sim.mesh_stats(), seq.mesh_stats(), "{at}");
+                if window.is_some() {
+                    assert!(
+                        par_sim.last_peak_buffered_accesses() < trace.len(),
+                        "{at}: a 64-access window over {} accesses must refill",
+                        trace.len()
                     );
-                    par_sim.set_timing_mode(Some(mode));
-                    if let Some(w) = window {
-                        par_sim.set_replay_window(w);
-                    }
-                    let got = par::with_threads(workers, || par_sim.run_parallel(&trace));
-                    let at = format!("workers={workers} mode={mode:?} window={window:?}");
-                    assert_eq!(got, expect, "{at}");
-                    assert_eq!(par_sim.ddr_stats(), seq.ddr_stats(), "{at}");
-                    assert_eq!(par_sim.mesh_stats(), seq.mesh_stats(), "{at}");
-                    if mode == TimingMode::Concurrent && workers >= 2 {
-                        let ts = par_sim.last_timing_stats();
-                        assert!(
-                            ts.bailed_out || ts.ops > 0,
-                            "{at}: engine ran but priced nothing: {ts:?}"
-                        );
-                    }
-                    if window.is_some() {
-                        assert!(
-                            par_sim.last_timing_stats().windows > 1,
-                            "{at}: a 64-access window over {} accesses must refill",
-                            trace.len()
-                        );
-                    }
                 }
             }
         }
@@ -3087,68 +1923,38 @@ mod tests {
     }
 
     #[test]
-    fn streaming_lookahead_cap_bounds_single_core_backlog() {
-        // A single-core pointer chase on a multi-core sim is the
-        // pathological streaming case: every other queue stays empty,
-        // so the uncapped pipeline materializes the whole classified
-        // trace. The cap must bound the backlog near cap × chunk while
-        // staying bit-identical (the starved cores never receive work,
-        // so draining around them is vacuously exact).
+    fn streaming_single_core_chase_buffers_about_one_chunk() {
+        // A single-core pointer chase on a multi-core sim: every other
+        // core's remaining count is zero from the start, so its slot
+        // never opens and the ghost-slot merge refills one chunk at a
+        // time instead of materializing the whole classified trace.
         let total = 6000usize;
         let chunk = 250usize;
-        let make_fill = move || {
-            let mut produced = 0usize;
-            move |buf: &mut Vec<TraceAccess>| {
-                let n = chunk.min(total - produced);
-                for i in 0..n {
-                    let j = (produced + i) as u64;
-                    // Dependent chase with a large stride: misses that
-                    // serialize, so the backlog grows chunk by chunk.
-                    buf.push(TraceAccess::chase(1, (j * 4096 + 64) % (1 << 30)));
-                }
-                produced += n;
-                n
-            }
+        let trace: Vec<TraceAccess> = (0..total as u64)
+            // Dependent chase with a large stride: misses that
+            // serialize, so any backlog would grow chunk by chunk.
+            .map(|j| TraceAccess::chase(1, (j * 4096 + 64) % (1 << 30)))
+            .collect();
+        let make = || {
+            TraceSim::new(
+                &cfg(MemSetup::DramOnly),
+                8,
+                TracePlacement::AllDdr,
+                ByteSize::mib(1),
+            )
         };
-        let mut seq = TraceSim::new(
-            &cfg(MemSetup::DramOnly),
-            8,
-            TracePlacement::AllDdr,
-            ByteSize::mib(1),
-        );
-        let expect = seq.run_streaming(make_fill());
-        let mut uncapped = TraceSim::new(
-            &cfg(MemSetup::DramOnly),
-            8,
-            TracePlacement::AllDdr,
-            ByteSize::mib(1),
-        );
-        let got_uncapped = par::with_threads(2, || uncapped.run_streaming(make_fill()));
-        assert_eq!(got_uncapped, expect);
+        let mut seq = make();
+        let expect = seq.run(&trace);
+        let mut sim = make();
+        let got = par::with_threads(2, || {
+            sim.run_streaming(per_core_counts(&trace, 8), chunked(&trace, chunk))
+        });
+        assert_eq!(got, expect);
+        assert_eq!(sim.ddr_stats(), seq.ddr_stats());
         assert!(
-            uncapped.last_peak_buffered_accesses() > total / 2,
-            "uncapped single-core backlog should approach the trace \
-             ({} of {total})",
-            uncapped.last_peak_buffered_accesses(),
-        );
-        let cap = 4usize;
-        let mut capped = TraceSim::new(
-            &cfg(MemSetup::DramOnly),
-            8,
-            TracePlacement::AllDdr,
-            ByteSize::mib(1),
-        );
-        capped.set_streaming_lookahead_chunks(Some(cap));
-        let got_capped = par::with_threads(2, || capped.run_streaming(make_fill()));
-        assert_eq!(
-            got_capped, expect,
-            "capped single-core replay must stay exact"
-        );
-        let bound = (cap + 2) * chunk;
-        assert!(
-            capped.last_peak_buffered_accesses() <= bound,
-            "capped backlog {} exceeds {bound}",
-            capped.last_peak_buffered_accesses(),
+            sim.last_peak_buffered_accesses() <= 2 * chunk,
+            "single-core backlog {} exceeds two {chunk}-access chunks",
+            sim.last_peak_buffered_accesses(),
         );
     }
 
@@ -3195,22 +2001,6 @@ mod tests {
         // Degenerate core counts never clamp to zero.
         assert_eq!(clamp_thread_count(0, 0), 1);
         assert_eq!(clamp_thread_count(5, 0), 1);
-    }
-
-    #[test]
-    fn timing_mode_parsing() {
-        assert_eq!(
-            parse_timing_mode("sequential"),
-            Some(TimingMode::Sequential)
-        );
-        assert_eq!(parse_timing_mode(" Seq "), Some(TimingMode::Sequential));
-        assert_eq!(
-            parse_timing_mode("concurrent"),
-            Some(TimingMode::Concurrent)
-        );
-        assert_eq!(parse_timing_mode("CONC"), Some(TimingMode::Concurrent));
-        assert_eq!(parse_timing_mode(""), None);
-        assert_eq!(parse_timing_mode("parallel"), None);
     }
 
     #[test]
@@ -3291,15 +2081,9 @@ mod tests {
         );
         assert_eq!(par_sim.ddr_stats(), seq.ddr_stats());
         let mut stream_sim = make();
-        let mut off = 0;
+        // Tiny chunks force many refills mid-tie.
         let got = par::with_threads(2, || {
-            stream_sim.run_streaming(|buf| {
-                // Tiny chunks force many refills mid-tie.
-                let n = trace.len().min(off + 7) - off;
-                buf.extend_from_slice(&trace[off..off + n]);
-                off += n;
-                n
-            })
+            stream_sim.run_streaming(per_core_counts(&trace, 2), chunked(&trace, 7))
         });
         assert_eq!(got, expect);
         assert_eq!(stream_sim.ddr_stats(), seq.ddr_stats());
@@ -3308,8 +2092,8 @@ mod tests {
 
     #[test]
     fn single_core_and_empty_stream_edge_cases() {
-        // 1 core: the tree degenerates to one slot; streaming buffers
-        // the whole classified trace but must still match.
+        // 1 core: the tree degenerates to one slot; one chunk holding
+        // the whole trace must still match.
         let trace = chase_trace(0, 400, 2 * 1024 * 1024 + 64);
         let mut seq = TraceSim::new(
             &cfg(MemSetup::DramOnly),
@@ -3324,15 +2108,8 @@ mod tests {
             TracePlacement::AllDdr,
             ByteSize::mib(1),
         );
-        let mut fed = false;
-        let got = stream_sim.run_streaming(|buf| {
-            if fed {
-                return 0;
-            }
-            fed = true;
-            buf.extend_from_slice(&trace);
-            trace.len()
-        });
+        let got =
+            stream_sim.run_streaming(per_core_counts(&trace, 1), chunked(&trace, trace.len()));
         assert_eq!(got, expect);
         // All-empty stream: no chunks at all.
         let mut empty_sim = TraceSim::new(
@@ -3341,15 +2118,21 @@ mod tests {
             TracePlacement::AllDdr,
             ByteSize::mib(1),
         );
-        assert_eq!(empty_sim.run_streaming(|_| 0), TraceSimReport::default());
-        assert_eq!(empty_sim.last_peak_trace_buffer_bytes(), 0);
+        for counts in [Some(vec![0; 4]), None] {
+            assert_eq!(
+                empty_sim.run_streaming(counts, |_| 0),
+                TraceSimReport::default()
+            );
+            assert_eq!(empty_sim.last_peak_trace_buffer_bytes(), 0);
+        }
     }
 
     #[test]
     fn streaming_replay_matches_sequential_in_unit() {
         // Chunked multi-core replay across several chunk sizes and
-        // worker counts; every configuration must be bit-identical to
-        // the sequential reference.
+        // worker counts, with exact per-core counts and without; every
+        // configuration must be bit-identical to the sequential
+        // reference.
         let trace = stream_trace(4, 300);
         let mut seq = TraceSim::new(
             &cfg(MemSetup::DramOnly),
@@ -3360,53 +2143,39 @@ mod tests {
         let expect = seq.run(&trace);
         for chunk in [1usize, 64, 1 << 20] {
             for workers in [1, 2, 8] {
-                let mut sim = TraceSim::new(
-                    &cfg(MemSetup::DramOnly),
-                    4,
-                    TracePlacement::AllDdr,
-                    ByteSize::mib(1),
-                );
-                let mut off = 0;
-                let got = par::with_threads(workers, || {
-                    sim.run_streaming(|buf| {
-                        let n = trace.len().min(off + chunk) - off;
-                        buf.extend_from_slice(&trace[off..off + n]);
-                        off += n;
-                        n
-                    })
-                });
-                assert_eq!(got, expect, "chunk={chunk} workers={workers}");
-                assert_eq!(sim.ddr_stats(), seq.ddr_stats(), "chunk={chunk}");
-                assert_eq!(sim.mesh_stats(), seq.mesh_stats(), "chunk={chunk}");
-                assert_eq!(sim.per_core_totals(), seq.per_core_totals());
-                // A spread-across-cores workload streams in bounded
-                // buffers: far below the materialized paths' footprint.
-                if chunk == 64 {
-                    assert!(
-                        sim.last_peak_trace_buffer_bytes() < seq.last_peak_trace_buffer_bytes(),
-                        "streaming {} vs materialized {}",
-                        sim.last_peak_trace_buffer_bytes(),
-                        seq.last_peak_trace_buffer_bytes()
+                for known in [true, false] {
+                    let mut sim = TraceSim::new(
+                        &cfg(MemSetup::DramOnly),
+                        4,
+                        TracePlacement::AllDdr,
+                        ByteSize::mib(1),
                     );
+                    let counts = if known {
+                        per_core_counts(&trace, 4)
+                    } else {
+                        None
+                    };
+                    let got = par::with_threads(workers, || {
+                        sim.run_streaming(counts, chunked(&trace, chunk))
+                    });
+                    let at = format!("chunk={chunk} workers={workers} known={known}");
+                    assert_eq!(got, expect, "{at}");
+                    assert_eq!(sim.ddr_stats(), seq.ddr_stats(), "{at}");
+                    assert_eq!(sim.mesh_stats(), seq.mesh_stats(), "{at}");
+                    assert_eq!(sim.per_core_totals(), seq.per_core_totals(), "{at}");
+                    // A spread-across-cores workload streams in bounded
+                    // buffers: far below the materialized paths' footprint.
+                    if chunk == 64 {
+                        assert!(
+                            sim.last_peak_trace_buffer_bytes() < seq.last_peak_trace_buffer_bytes(),
+                            "{at}: streaming {} vs materialized {}",
+                            sim.last_peak_trace_buffer_bytes(),
+                            seq.last_peak_trace_buffer_bytes()
+                        );
+                    }
                 }
             }
         }
-    }
-
-    #[test]
-    fn buffer_warning_thresholds() {
-        // Below the absolute floor: never warns, whatever the ratio.
-        assert_eq!(buffer_warning(BUFFER_WARN_MIN_ACCESSES - 1, 1), None);
-        assert_eq!(buffer_warning(100, 0), None);
-        // At the floor with a chunk small enough to exceed the ratio.
-        let msg = buffer_warning(BUFFER_WARN_MIN_ACCESSES, 64).expect("should warn");
-        assert!(msg.contains("buffering"), "{msg}");
-        // Large backlog but within BUFFER_WARN_CHUNKS of the chunk
-        // size: healthy pipelining, no warning.
-        assert_eq!(
-            buffer_warning(BUFFER_WARN_MIN_ACCESSES, BUFFER_WARN_MIN_ACCESSES),
-            None
-        );
     }
 
     #[test]
@@ -3455,14 +2224,8 @@ mod tests {
             ByteSize::mib(1),
         );
         sim.enable_telemetry();
-        let mut off = 0;
         let got = par::with_threads(2, || {
-            sim.run_streaming(|buf| {
-                let n = trace.len().min(off + 256) - off;
-                buf.extend_from_slice(&trace[off..off + n]);
-                off += n;
-                n
-            })
+            sim.run_streaming(per_core_counts(&trace, 4), chunked(&trace, 256))
         });
         assert_eq!(got.accesses, trace.len() as u64);
         let names: Vec<&str> = sim
@@ -3564,104 +2327,5 @@ mod tests {
         let r = sim.run(&trace);
         assert_eq!(sim.mesh_stats().messages.get(), r.memory_accesses);
         assert!(sim.mesh_stats().hops.get() >= r.memory_accesses);
-    }
-}
-
-impl TraceSim {
-    /// Debug introspection for the DDR model.
-    #[doc(hidden)]
-    pub fn debug_ddr(&self) -> (Vec<f64>, f64) {
-        (
-            self.ddr.debug_bus_busy_ns(),
-            self.ddr.debug_max_bank_ready_ns(),
-        )
-    }
-}
-
-/// Debug breakdown of a single access's timing (picoseconds).
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AccessBreakdown {
-    pub issue_ps: u64,
-    pub post_sram_ps: u64,
-    pub arrive_ps: u64,
-    pub served_ps: u64,
-    pub done_ps: u64,
-    pub stalled: bool,
-}
-
-impl TraceSim {
-    /// Debug: replay one access returning a timing breakdown.
-    #[doc(hidden)]
-    pub fn access_traced(&mut self, t: TraceAccess) -> AccessBreakdown {
-        let core = partition_by_core(t.core, self.hierarchies.len());
-        let mut issue = self.core_clock[core];
-        let orig_issue = issue;
-        let kind = if t.write {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
-        };
-        let (level, sram_lat) = self.hierarchies[core].access(t.addr, kind);
-        let mut bd = AccessBreakdown::default();
-        let mut done = issue + sram_lat;
-        let mut merged = false;
-        if level == LevelHit::Memory || level == LevelHit::McdramCache {
-            let line = t.addr & !(self.line_bytes - 1);
-            loop {
-                match self.mshrs[core].register(line, issue) {
-                    MshrOutcome::Allocated => break,
-                    MshrOutcome::Merged { ready_at } => {
-                        done = ready_at.max(issue + sram_lat);
-                        merged = true;
-                        break;
-                    }
-                    MshrOutcome::Stall { free_at } => issue = free_at,
-                }
-            }
-        }
-        bd.stalled = issue > orig_issue;
-        bd.issue_ps = issue.as_ps();
-        if !merged && (level == LevelHit::Memory || level == LevelHit::McdramCache) {
-            done = issue + sram_lat;
-            bd.post_sram_ps = done.as_ps();
-            let is_hbm_target = match (&self.msc, level) {
-                (Some(_), LevelHit::McdramCache) => true,
-                (Some(_), _) => false,
-                (None, _) => self.placement.is_hbm(t.addr),
-            };
-            // Mesh traversal charged analytically: per-link flit
-            // reservation is far too pessimistic at memory rates (the
-            // KNL mesh is provisioned well beyond memory bandwidth),
-            // so the request half of the average round trip is added
-            // as latency instead.
-            let arrive = done
-                + if is_hbm_target {
-                    self.resp_half_hbm
-                } else {
-                    self.resp_half_ddr
-                };
-            bd.arrive_ps = arrive.as_ps();
-            let served = if self.placement.is_hbm(t.addr) {
-                self.hbm.access(t.addr, arrive)
-            } else {
-                self.ddr.access(t.addr, arrive)
-            };
-            bd.served_ps = served.as_ps();
-            done = served
-                + if is_hbm_target {
-                    self.resp_half_hbm
-                } else {
-                    self.resp_half_ddr
-                };
-            self.mshrs[core].complete_at(t.addr & !(self.line_bytes - 1), done);
-        }
-        bd.done_ps = done.as_ps();
-        self.core_clock[core] = if t.dependent {
-            done
-        } else {
-            issue + Duration::from_cycles(1, crate::calib::CORE_GHZ)
-        };
-        bd
     }
 }

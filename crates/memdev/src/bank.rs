@@ -125,26 +125,6 @@ impl DramGeometry {
         let row = row_global / self.banks_per_channel as u64;
         (channel, bank, row)
     }
-
-    /// [`map`](Self::map) packed into one word: channel in the top
-    /// byte, bank in the next, row in the low 48 bits. The division
-    /// chain in `map` is the expensive part of an access, so callers
-    /// that classify ahead of time (the parallel replay engine) compute
-    /// this once per access and route/replay from the packed form.
-    pub fn map_packed(&self, addr: u64) -> u64 {
-        let (channel, bank, row) = self.map(addr);
-        debug_assert!(row < 1 << 48, "row index overflows packed map");
-        ((channel as u64) << 56) | ((bank as u64) << 48) | row
-    }
-
-    /// Split a packed map word back into `(channel, bank, row)`.
-    pub fn unpack(packed: u64) -> (u32, u32, u64) {
-        (
-            (packed >> 56) as u32,
-            ((packed >> 48) & 0xFF) as u32,
-            packed & ((1 << 48) - 1),
-        )
-    }
 }
 
 /// Per-bank state.
@@ -266,12 +246,11 @@ impl DramModel {
 
     /// A lower bound on the service time of *any* access: an access
     /// arriving at `at` never completes before `at + min_service()`.
-    /// In [`service_access`] the burst end is at least
+    /// In [`access`](Self::access) the burst end is at least
     /// `start + array + t_burst ≥ at + t_cas + t_burst` (a row hit on
     /// an idle bank is the fastest case) and the controller path adds
-    /// `t_ctrl` on top. The concurrent replay sequencer leans on this
-    /// bound to prove ordering decisions before the exact completion
-    /// time is priced.
+    /// `t_ctrl` on top. Trace replay measures queue wait as the
+    /// overshoot past this bound.
     pub fn min_service(&self) -> Duration {
         self.timing.row_hit() + self.timing.t_ctrl
     }
@@ -280,23 +259,50 @@ impl DramModel {
     /// Returns the completion time.
     pub fn access(&mut self, addr: u64, at: SimTime) -> SimTime {
         let (channel, bank, row) = self.geometry.map(addr);
-        self.access_mapped(channel, bank, row, at)
-    }
-
-    /// [`access`](Self::access) with the address already mapped to its
-    /// `(channel, bank, row)` triple — the hot path for callers that
-    /// precompute [`DramGeometry::map_packed`] during classification.
-    pub fn access_mapped(&mut self, channel: u32, bank: u32, row: u64, at: SimTime) -> SimTime {
         let idx = (channel * self.geometry.banks_per_channel + bank) as usize;
-        service_access(
-            &self.timing,
-            &mut self.banks[idx],
-            &mut self.bus_busy_until[channel as usize],
-            &mut self.stats,
-            self.queue_wait.as_deref_mut(),
-            row,
-            at,
-        )
+        let timing = self.timing;
+        let b = &mut self.banks[idx];
+        if let Some(h) = self.queue_wait.as_deref_mut() {
+            h.record(b.ready.saturating_since(at).as_ps());
+        }
+        if b.ready > at {
+            self.stats.bank_conflicts.incr();
+        }
+        let start = at.max(b.ready);
+        // Array-access phase (everything before the data burst), and
+        // whether this access pipelines in the bank (row hit: the next
+        // CAS can issue one burst later) or blocks it (miss/closed: the
+        // row must settle before the next command).
+        let (array, pipelines) = match b.open_row {
+            Some(open) if open == row => {
+                self.stats.row_hits.incr();
+                (timing.row_hit() - timing.t_burst, true)
+            }
+            Some(_) => {
+                self.stats.row_misses.incr();
+                (timing.row_miss() - timing.t_burst, false)
+            }
+            None => {
+                self.stats.row_closed.incr();
+                (timing.row_closed() - timing.t_burst, false)
+            }
+        };
+        b.open_row = Some(row);
+        // The burst phase consumes channel data-bus bandwidth. The bus
+        // is modelled as a rate watermark (one burst slot per line,
+        // floored at the arrival time) rather than a strict FIFO: real
+        // controllers reorder across banks, so a slow row cycle in one
+        // bank must not stall bursts from the others.
+        let wm = &mut self.bus_busy_until[channel as usize];
+        *wm = (*wm).max(at) + timing.t_burst;
+        let bank_done = (start + array + timing.t_burst).max(*wm);
+        b.ready = if pipelines {
+            start + timing.t_burst
+        } else {
+            bank_done
+        };
+        // The controller/package path is pipelined latency on top.
+        bank_done + timing.t_ctrl
     }
 
     /// Stream `lines` consecutive cache lines starting at `base`; all
@@ -309,169 +315,6 @@ impl DramModel {
             done = done.max(self.access(addr, at));
         }
         done
-    }
-}
-
-/// The per-access timing body shared by [`DramModel`] and
-/// [`DramLane`]: one bank's row-buffer state machine plus one
-/// channel's bus watermark. Factored out so a lane sliced off the
-/// model prices accesses **bit-identically** to the whole model.
-fn service_access(
-    timing: &DramTiming,
-    b: &mut Bank,
-    wm: &mut SimTime,
-    stats: &mut DramStats,
-    queue_wait: Option<&mut Histogram>,
-    row: u64,
-    at: SimTime,
-) -> SimTime {
-    if let Some(h) = queue_wait {
-        h.record(b.ready.saturating_since(at).as_ps());
-    }
-    if b.ready > at {
-        stats.bank_conflicts.incr();
-    }
-    let start = at.max(b.ready);
-    // Array-access phase (everything before the data burst), and
-    // whether this access pipelines in the bank (row hit: the next
-    // CAS can issue one burst later) or blocks it (miss/closed: the
-    // row must settle before the next command).
-    let (array, pipelines) = match b.open_row {
-        Some(open) if open == row => {
-            stats.row_hits.incr();
-            (timing.row_hit() - timing.t_burst, true)
-        }
-        Some(_) => {
-            stats.row_misses.incr();
-            (timing.row_miss() - timing.t_burst, false)
-        }
-        None => {
-            stats.row_closed.incr();
-            (timing.row_closed() - timing.t_burst, false)
-        }
-    };
-    b.open_row = Some(row);
-    // The burst phase consumes channel data-bus bandwidth. The bus
-    // is modelled as a rate watermark (one burst slot per line,
-    // floored at the arrival time) rather than a strict FIFO: real
-    // controllers reorder across banks, so a slow row cycle in one
-    // bank must not stall bursts from the others.
-    *wm = (*wm).max(at) + timing.t_burst;
-    let bank_done = (start + array + timing.t_burst).max(*wm);
-    b.ready = if pipelines {
-        start + timing.t_burst
-    } else {
-        bank_done
-    };
-    // The controller/package path is pipelined latency on top.
-    bank_done + timing.t_ctrl
-}
-
-/// One channel's worth of DRAM state — the banks behind a channel plus
-/// its data-bus watermark — sliced out of a [`DramModel`] so a timing
-/// worker can own it exclusively.
-///
-/// The channel is the natural static-ownership unit: the address map
-/// never routes one access to two channels, so per-channel sequences
-/// of `access_mapped` calls in the sequential merge order reproduce
-/// the whole model's behaviour exactly, independent of how calls to
-/// *different* lanes interleave in wall-clock time. Stats and the
-/// queue-wait histogram accumulate locally and merge back (both are
-/// commutative sums) in [`DramModel::absorb_lanes`].
-#[derive(Debug)]
-pub struct DramLane {
-    timing: DramTiming,
-    channel: u32,
-    banks: Vec<Bank>,
-    bus_busy_until: SimTime,
-    stats: DramStats,
-    queue_wait: Option<Box<Histogram>>,
-}
-
-impl DramLane {
-    /// The channel this lane owns.
-    pub fn channel(&self) -> u32 {
-        self.channel
-    }
-
-    /// Price one pre-mapped access on this lane's channel. `bank` and
-    /// `row` must come from the owning model's geometry map for this
-    /// channel.
-    pub fn access_mapped(&mut self, bank: u32, row: u64, at: SimTime) -> SimTime {
-        service_access(
-            &self.timing,
-            &mut self.banks[bank as usize],
-            &mut self.bus_busy_until,
-            &mut self.stats,
-            self.queue_wait.as_deref_mut(),
-            row,
-            at,
-        )
-    }
-}
-
-impl DramModel {
-    /// Move every channel's bank/bus state out into per-channel
-    /// [`DramLane`]s, one per channel in channel order. The model is
-    /// hollow until [`absorb_lanes`](Self::absorb_lanes) puts the state
-    /// back — calling [`access`](Self::access) in between panics.
-    /// Lanes start with zeroed stats (merged back on absorb) and carry
-    /// their own queue-wait histogram iff the model had one enabled.
-    pub fn split_lanes(&mut self) -> Vec<DramLane> {
-        let bpc = self.geometry.banks_per_channel as usize;
-        let banks = std::mem::take(&mut self.banks);
-        let buses = std::mem::take(&mut self.bus_busy_until);
-        let telemetry = self.queue_wait.is_some();
-        banks
-            .chunks(bpc)
-            .zip(buses)
-            .enumerate()
-            .map(|(ch, (chunk, bus))| DramLane {
-                timing: self.timing,
-                channel: ch as u32,
-                banks: chunk.to_vec(),
-                bus_busy_until: bus,
-                stats: DramStats::default(),
-                queue_wait: telemetry.then(|| Box::new(Histogram::new())),
-            })
-            .collect()
-    }
-
-    /// Restore lane state split off by [`split_lanes`](Self::split_lanes)
-    /// and fold the lanes' stats/telemetry back in. Lanes may arrive in
-    /// any order; every channel must be present exactly once.
-    pub fn absorb_lanes(&mut self, mut lanes: Vec<DramLane>) {
-        let channels = self.geometry.channels as usize;
-        assert_eq!(lanes.len(), channels, "absorb_lanes needs every channel");
-        lanes.sort_by_key(|l| l.channel);
-        self.banks.clear();
-        self.bus_busy_until.clear();
-        for (ch, lane) in lanes.into_iter().enumerate() {
-            assert_eq!(lane.channel as usize, ch, "duplicate or missing channel");
-            self.banks.extend_from_slice(&lane.banks);
-            self.bus_busy_until.push(lane.bus_busy_until);
-            self.stats = self.stats.merge(lane.stats);
-            if let (Some(mine), Some(theirs)) = (&mut self.queue_wait, &lane.queue_wait) {
-                mine.merge(theirs);
-            }
-        }
-    }
-}
-
-impl DramModel {
-    /// Debug introspection: per-channel bus busy-until times (ns).
-    #[doc(hidden)]
-    pub fn debug_bus_busy_ns(&self) -> Vec<f64> {
-        self.bus_busy_until.iter().map(|t| t.as_ns()).collect()
-    }
-
-    /// Debug introspection: latest bank-ready time (ns).
-    #[doc(hidden)]
-    pub fn debug_max_bank_ready_ns(&self) -> f64 {
-        self.banks
-            .iter()
-            .map(|b| b.ready.as_ns())
-            .fold(0.0, f64::max)
     }
 }
 
@@ -589,67 +432,6 @@ mod tests {
             }
         }
         out
-    }
-
-    #[test]
-    fn packed_map_round_trips() {
-        for g in [DramGeometry::ddr4_knl(), DramGeometry::mcdram_knl()] {
-            for addr in [0u64, 64, 4096, 1 << 21, 0xDEAD_BEC0, u64::MAX / 2] {
-                let expect = g.map(addr);
-                assert_eq!(DramGeometry::unpack(g.map_packed(addr)), expect);
-            }
-        }
-    }
-
-    #[test]
-    fn access_mapped_equals_access() {
-        let mut by_addr = DramModel::ddr4_knl();
-        let mut by_map = DramModel::ddr4_knl();
-        by_addr.enable_queue_wait_histogram();
-        by_map.enable_queue_wait_histogram();
-        let g = by_addr.geometry();
-        for (addr, at) in probe_sequence(g) {
-            let (c, b, r) = DramGeometry::unpack(g.map_packed(addr));
-            assert_eq!(by_map.access_mapped(c, b, r, at), by_addr.access(addr, at));
-        }
-        assert_eq!(by_map.stats(), by_addr.stats());
-        assert_eq!(
-            by_map.queue_wait_histogram(),
-            by_addr.queue_wait_histogram()
-        );
-    }
-
-    #[test]
-    fn lane_sliced_replay_matches_whole_model() {
-        // Route every access of a mixed sequence to its channel's lane,
-        // in the same global order; completion times, stats, and the
-        // queue-wait histogram must match the unsplit model exactly,
-        // and the absorbed model must continue identically.
-        for mk in [DramModel::ddr4_knl, DramModel::mcdram_knl] {
-            let mut whole = mk();
-            let mut split = mk();
-            whole.enable_queue_wait_histogram();
-            split.enable_queue_wait_histogram();
-            let g = whole.geometry();
-            let seq = probe_sequence(g);
-            let mut lanes = split.split_lanes();
-            assert_eq!(lanes.len(), g.channels as usize);
-            for &(addr, at) in &seq {
-                let (c, b, r) = g.map(addr);
-                let got = lanes[c as usize].access_mapped(b, r, at);
-                assert_eq!(got, whole.access(addr, at), "addr {addr:#x}");
-            }
-            lanes.reverse(); // absorb accepts any lane order
-            split.absorb_lanes(lanes);
-            assert_eq!(split.stats(), whole.stats());
-            assert_eq!(split.queue_wait_histogram(), whole.queue_wait_histogram());
-            // State (open rows, bank ready, bus watermark) restored.
-            let late = SimTime::ZERO + Duration::from_ns(5.0);
-            for &(addr, _) in seq.iter().take(64) {
-                assert_eq!(split.access(addr, late), whole.access(addr, late));
-            }
-            assert_eq!(split.stats(), whole.stats());
-        }
     }
 
     #[test]

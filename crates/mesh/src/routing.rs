@@ -165,10 +165,9 @@ impl MeshModel {
     }
 }
 
-/// A detached accumulator for analytic mesh messages, used by the
-/// concurrent replay sequencer to batch accounting away from the
-/// shared [`MeshModel`] and fold it back with
-/// [`MeshModel::absorb_tally`].
+/// A detached accumulator for analytic mesh messages, used by trace
+/// replay to batch accounting away from the shared [`MeshModel`] and
+/// fold it back with [`MeshModel::absorb_tally`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MeshTally {
     /// Messages tallied.

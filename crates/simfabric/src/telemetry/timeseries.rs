@@ -188,8 +188,8 @@ impl TimeSeriesRecorder {
     /// tick lands on a window boundary: the owner then refreshes any
     /// pull-style series and calls [`close_window`](Self::close_window).
     /// Splitting the boundary from the snapshot lets owners whose
-    /// sampled state needs preparation (e.g. the concurrent timing
-    /// engine resolving deferred completions) do so between the two.
+    /// sampled state needs preparation (e.g. trace replay finishing
+    /// the boundary access first) do so between the two.
     #[inline]
     pub fn tick(&mut self) -> bool {
         self.ticks += 1;

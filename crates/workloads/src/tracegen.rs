@@ -18,15 +18,17 @@
 //! ([`DEFAULT_CHUNK`] accesses at a time through
 //! [`TraceSource::fill`]), which lets [`replay_streaming`] drive
 //! [`TraceSim::run_streaming`] without ever materializing a
-//! paper-scale trace: generation overlaps classification and timing,
-//! and the buffered window stays at roughly one chunk for workloads
-//! that spread accesses across cores. Both forms are bit-identical —
+//! paper-scale trace: generation overlaps classification and timing.
+//! Every source also reports exactly how many accesses it has left
+//! per core ([`TraceSource::remaining_per_core`]), so the replay's
+//! buffered window stays at roughly one chunk however the work is
+//! spread over cores. Both forms are bit-identical —
 //! the golden-vector suite (`tests/tracegen_golden.rs`) and the
 //! chunking-invariance tests below pin that.
 
 use knl::classified::ClassifiedTrace;
 use knl::config::MachineConfig;
-use knl::tracesim::{TraceAccess, TraceSim, TraceSimReport};
+use knl::tracesim::{partition_by_core, TraceAccess, TraceSim, TraceSimReport};
 use simfabric::prng::Rng;
 use simfabric::ByteSize;
 
@@ -70,12 +72,30 @@ pub trait TraceSource {
         n
     }
 
-    /// Exact number of accesses left in the stream, when the source
-    /// knows it (all in-tree sources do; `None` is allowed for
-    /// external sources of unknown length).
-    fn remaining(&self) -> Option<u64> {
+    /// Exact accesses left for each of `shards` replay shards, source
+    /// core `c` counted on shard [`partition_by_core`]`(c, shards)` —
+    /// the counts [`TraceSim::run_streaming`] closes each core's slot
+    /// on. All in-tree sources know them; `None` (the default) is
+    /// allowed for external sources of unknown length.
+    fn remaining_per_core(&self, _shards: usize) -> Option<Vec<u64>> {
         None
     }
+
+    /// Exact number of accesses left in the stream, when the source
+    /// knows it.
+    fn remaining(&self) -> Option<u64> {
+        self.remaining_per_core(1).map(|left| left[0])
+    }
+}
+
+/// Fold `count(c)` for source cores `0..cores` onto `shards` replay
+/// shards the way the replay partitions accesses.
+fn fold_cores(cores: u32, shards: usize, count: impl Fn(u32) -> u64) -> Vec<u64> {
+    let mut out = vec![0; shards];
+    for c in 0..cores {
+        out[partition_by_core(c, shards)] += count(c);
+    }
+    out
 }
 
 /// Drain a source into a `Vec` (the eager form of the stream).
@@ -89,14 +109,16 @@ pub fn collect(source: &mut dyn TraceSource) -> Vec<TraceAccess> {
 }
 
 /// Replay `source` through `sim` in [`DEFAULT_CHUNK`]-sized chunks via
-/// [`TraceSim::run_streaming`]: generation overlaps classification and
-/// timing, and the report is bit-identical to materializing the trace
-/// and calling [`TraceSim::run`].
+/// [`TraceSim::run_streaming`], passing the source's per-core counts:
+/// generation overlaps classification and timing, and the report is
+/// bit-identical to materializing the trace and calling
+/// [`TraceSim::run`].
 pub fn replay_streaming(
     sim: &mut TraceSim,
     source: &mut (dyn TraceSource + Send),
 ) -> TraceSimReport {
-    sim.run_streaming(|buf| source.fill(buf, DEFAULT_CHUNK))
+    let remaining = source.remaining_per_core(sim.cores());
+    sim.run_streaming(remaining, |buf| source.fill(buf, DEFAULT_CHUNK))
 }
 
 /// Classify `source` into a [`ClassifiedTrace`] artifact in
@@ -130,7 +152,6 @@ pub struct StreamSource {
     i: u64,
     c: u32,
     j: u64,
-    emitted: u64,
 }
 
 impl StreamSource {
@@ -147,7 +168,6 @@ impl StreamSource {
             i: 0,
             c: 0,
             j: 0,
-            emitted: 0,
         }
     }
 }
@@ -178,13 +198,26 @@ impl TraceSource for StreamSource {
             }
             let acc = TraceAccess::read(self.c, core_base(self.c) + self.j * 64);
             self.j += 1;
-            self.emitted += 1;
             return Some(acc);
         }
     }
 
-    fn remaining(&self) -> Option<u64> {
-        Some(self.cores as u64 * self.lines * self.passes as u64 - self.emitted)
+    fn remaining_per_core(&self, shards: usize) -> Option<Vec<u64>> {
+        // Lines the current pass has issued for core `k`: the bursts
+        // before `i`, plus the current burst for cores up to `c`.
+        let passes_left = self.passes.saturating_sub(self.pass) as u64;
+        let burst_end = (self.i + Self::BURST).min(self.lines);
+        Some(fold_cores(self.cores, shards, |k| {
+            if passes_left == 0 {
+                return 0;
+            }
+            let done = match k.cmp(&self.c) {
+                std::cmp::Ordering::Less => burst_end,
+                std::cmp::Ordering::Equal => self.j,
+                std::cmp::Ordering::Greater => self.i,
+            };
+            passes_left * self.lines - done.min(self.lines)
+        }))
     }
 }
 
@@ -205,7 +238,6 @@ pub struct GupsSource {
     u: u64,
     c: u32,
     pending_write: Option<TraceAccess>,
-    emitted: u64,
 }
 
 impl GupsSource {
@@ -222,7 +254,6 @@ impl GupsSource {
             u: 0,
             c: 0,
             pending_write: None,
-            emitted: 0,
         }
     }
 }
@@ -230,7 +261,6 @@ impl GupsSource {
 impl TraceSource for GupsSource {
     fn next_access(&mut self) -> Option<TraceAccess> {
         if let Some(w) = self.pending_write.take() {
-            self.emitted += 1;
             return Some(w);
         }
         loop {
@@ -247,13 +277,18 @@ impl TraceSource for GupsSource {
             self.pending_write = Some(TraceAccess::write(self.c, addr));
             let read = TraceAccess::read(self.c, addr);
             self.c += 1;
-            self.emitted += 1;
             return Some(read);
         }
     }
 
-    fn remaining(&self) -> Option<u64> {
-        Some(self.cores as u64 * self.updates * 2 - self.emitted)
+    fn remaining_per_core(&self, shards: usize) -> Option<Vec<u64>> {
+        // Cores before `c` have issued this round's read, and its
+        // write unless that is still pending.
+        let pending = self.pending_write.map(|w| w.core);
+        Some(fold_cores(self.cores, shards, |k| {
+            let issued = 2 * (self.u + u64::from(k < self.c)) - u64::from(pending == Some(k));
+            2 * self.updates - issued
+        }))
     }
 }
 
@@ -317,8 +352,8 @@ impl TraceSource for ChaseSource {
         Some(TraceAccess::chase(0, addr))
     }
 
-    fn remaining(&self) -> Option<u64> {
-        Some(self.steps - self.i)
+    fn remaining_per_core(&self, shards: usize) -> Option<Vec<u64>> {
+        Some(fold_cores(1, shards, |_| self.steps - self.i))
     }
 }
 
@@ -344,7 +379,6 @@ pub struct XsBenchSource {
     pos: u64,
     span: u64,
     in_chain: bool,
-    emitted: u64,
 }
 
 impl XsBenchSource {
@@ -375,7 +409,6 @@ impl XsBenchSource {
             pos: 0,
             span: 0,
             in_chain: false,
-            emitted: 0,
         }
     }
 }
@@ -408,13 +441,21 @@ impl TraceSource for XsBenchSource {
             self.span = (self.span / 2).max(1);
             self.pos = (self.pos + self.span) % self.lines;
             self.d += 1;
-            self.emitted += 1;
             return Some(acc);
         }
     }
 
-    fn remaining(&self) -> Option<u64> {
-        Some(self.lookups * self.cores as u64 * self.deps as u64 - self.emitted)
+    fn remaining_per_core(&self, shards: usize) -> Option<Vec<u64>> {
+        // Cores before `c` have finished this round's chain; core `c`
+        // is `d` hops into its chain while one is open.
+        let deps = self.deps as u64;
+        Some(fold_cores(self.cores, shards, |k| {
+            let mut issued = (self.l + u64::from(k < self.c)) * deps;
+            if k == self.c && self.in_chain {
+                issued += self.d as u64;
+            }
+            self.lookups * deps - issued
+        }))
     }
 }
 
@@ -449,7 +490,6 @@ pub struct BfsSource {
     e: u64,
     c: u32,
     pending_probe: Option<TraceAccess>,
-    emitted: u64,
 }
 
 impl BfsSource {
@@ -472,7 +512,6 @@ impl BfsSource {
             e: 0,
             c: 0,
             pending_probe: None,
-            emitted: 0,
         }
     }
 }
@@ -480,7 +519,6 @@ impl BfsSource {
 impl TraceSource for BfsSource {
     fn next_access(&mut self) -> Option<TraceAccess> {
         if let Some(p) = self.pending_probe.take() {
-            self.emitted += 1;
             return Some(p);
         }
         loop {
@@ -505,13 +543,18 @@ impl TraceSource for BfsSource {
                 TraceAccess::read(self.c, probe * 64)
             });
             self.c += 1;
-            self.emitted += 1;
             return Some(read);
         }
     }
 
-    fn remaining(&self) -> Option<u64> {
-        Some(self.edges * self.cores as u64 * 2 - self.emitted)
+    fn remaining_per_core(&self, shards: usize) -> Option<Vec<u64>> {
+        // Cores before `c` have issued this edge's CSR read, and its
+        // probe unless that is still pending.
+        let pending = self.pending_probe.map(|p| p.core);
+        Some(fold_cores(self.cores, shards, |k| {
+            let issued = 2 * (self.e + u64::from(k < self.c)) - u64::from(pending == Some(k));
+            2 * self.edges - issued
+        }))
     }
 }
 
@@ -546,7 +589,6 @@ pub struct HotColdSource {
     p: u32,
     i: u64,
     c: u32,
-    emitted: u64,
 }
 
 impl HotColdSource {
@@ -590,7 +632,6 @@ impl HotColdSource {
             p: 0,
             i: 0,
             c: 0,
-            emitted: 0,
         }
     }
 }
@@ -625,13 +666,17 @@ impl TraceSource for HotColdSource {
             };
             let acc = TraceAccess::read(self.c, addr);
             self.c += 1;
-            self.emitted += 1;
             return Some(acc);
         }
     }
 
-    fn remaining(&self) -> Option<u64> {
-        Some(self.cores as u64 * self.phases as u64 * self.per_core - self.emitted)
+    fn remaining_per_core(&self, shards: usize) -> Option<Vec<u64>> {
+        // One access per core per step `i`; cores before `c` have
+        // taken the current step.
+        Some(fold_cores(self.cores, shards, |k| {
+            let issued = self.p as u64 * self.per_core + self.i + u64::from(k < self.c);
+            self.phases as u64 * self.per_core - issued
+        }))
     }
 }
 
@@ -908,6 +953,48 @@ mod tests {
             // Exhausted sources stay exhausted.
             assert!(src.next_access().is_none());
             assert_eq!(src.fill(&mut Vec::new(), 8), 0);
+        }
+    }
+
+    #[test]
+    fn per_core_remaining_counts_match_the_rest_of_the_stream() {
+        // Every source — the five kinds plus the hot/cold mix — must
+        // report, fresh and after any partial fill, exactly the
+        // per-shard counts of what it has left. Shard counts below the
+        // source's 4 cores fold cores with `partition_by_core`; counts
+        // above leave shards empty.
+        let all = || {
+            let mut v: Vec<(String, Box<dyn TraceSource + Send>)> = sources()
+                .into_iter()
+                .map(|(k, s)| (format!("{k:?}"), s))
+                .collect();
+            v.push((
+                "HotCold".into(),
+                Box::new(HotColdSource::new(4, 3, 50, 1 << 16, 1 << 20, 7)),
+            ));
+            v
+        };
+        for chunk in [1usize, 7, 333] {
+            for shards in [1usize, 3, 4, 8] {
+                for ((name, mut src), (_, mut eager)) in all().into_iter().zip(all()) {
+                    let trace = collect(eager.as_mut());
+                    let mut consumed = 0;
+                    loop {
+                        let mut expect = vec![0u64; shards];
+                        for t in &trace[consumed..] {
+                            expect[partition_by_core(t.core, shards)] += 1;
+                        }
+                        let at = format!("{name} shards={shards} after {consumed}");
+                        assert_eq!(src.remaining_per_core(shards), Some(expect), "{at}");
+                        let n = src.fill(&mut Vec::new(), chunk);
+                        if n == 0 {
+                            break;
+                        }
+                        consumed += n;
+                    }
+                    assert_eq!(consumed, trace.len(), "{name}");
+                }
+            }
         }
     }
 

@@ -4,15 +4,12 @@
 //! **bit-identical** to a fresh per-setup streaming replay — reports,
 //! per-shard totals, device and mesh statistics, and (under a
 //! `Migrated` placement) the scheduler's move-sequence digest — across
-//! every workload generator, every paper memory setup, a 1/2/4/8
-//! worker ladder, and both forced timing modes. The same contract is
-//! pinned for batched mesh pricing (`set_mesh_batching`): batching
-//! detaches hop/contention sums from the per-access loop and must
-//! change nothing observable. This is what makes the sweep engine's
-//! speedup trustworthy: "classified == regenerated, only faster".
+//! every workload generator, every paper memory setup, and a 1/2/4/8
+//! worker ladder. This is what makes the sweep engine's speedup
+//! trustworthy: "classified == regenerated, only faster".
 
 use hybridmem::TraceSpec;
-use knl::tracesim::{TimingMode, TracePlacement, TraceSim, TraceSimReport};
+use knl::tracesim::{TracePlacement, TraceSim, TraceSimReport};
 use knl::{ClassifiedTrace, MachineConfig, MemSetup};
 use memkind_sim::MigrationSpec;
 use simfabric::{par, ByteSize};
@@ -86,8 +83,8 @@ fn assert_sims_match(got: &TraceSim, want: &TraceSim, ctx: &str) {
 }
 
 /// Replay `kind` under `setup`: one classified artifact against every
-/// placement × worker count × forced timing mode, checked against a
-/// fresh streaming replay of the same placement.
+/// placement × worker count, checked against a fresh streaming replay
+/// of the same placement.
 fn check(kind: TraceKind, setup: MemSetup) {
     let cfg = MachineConfig::knl7210(setup, 64);
     let ct = artifact(kind, &cfg);
@@ -103,16 +100,11 @@ fn check(kind: TraceKind, setup: MemSetup) {
             replay_streaming(&mut seq, source.as_mut())
         };
         for workers in WORKERS {
-            for mode in [TimingMode::Sequential, TimingMode::Concurrent] {
-                let mut sim = TraceSim::new(&cfg, CORES, placement, msc());
-                sim.set_timing_mode(Some(mode));
-                let got = par::with_threads(workers, || sim.run_classified(&ct));
-                let ctx = format!(
-                    "{kind:?} under {setup:?} at {placement:?} workers={workers} mode={mode:?}"
-                );
-                assert_eq!(got, expect, "report diverged: {ctx}");
-                assert_sims_match(&sim, &seq, &ctx);
-            }
+            let mut sim = TraceSim::new(&cfg, CORES, placement, msc());
+            let got = par::with_threads(workers, || sim.run_classified(&ct));
+            let ctx = format!("{kind:?} under {setup:?} at {placement:?} workers={workers}");
+            assert_eq!(got, expect, "report diverged: {ctx}");
+            assert_sims_match(&sim, &seq, &ctx);
         }
     }
 }
@@ -178,50 +170,11 @@ fn hot_cold_migration_digest_matches_streaming() {
         "hot/cold trace must drive promotions and demotions, got {stats:?}"
     );
     for workers in WORKERS {
-        for mode in [TimingMode::Sequential, TimingMode::Concurrent] {
-            let mut sim = TraceSim::new(&cfg, CORES, placement, msc());
-            sim.set_timing_mode(Some(mode));
-            let got = par::with_threads(workers, || sim.run_classified(&ct));
-            let ctx = format!("hotcold workers={workers} mode={mode:?}");
-            assert_eq!(got, expect, "report diverged: {ctx}");
-            assert_sims_match(&sim, &seq, &ctx);
-        }
-    }
-}
-
-/// Batched mesh pricing must be invisible: for every generator and
-/// paper setup, a replay with per-access mesh pricing
-/// (`set_mesh_batching(false)`) and a batched replay — on both the
-/// streaming and the classified engines — land on identical reports
-/// and mesh statistics.
-#[test]
-fn mesh_batching_is_bit_identical() {
-    for kind in TraceKind::ALL {
-        for setup in MemSetup::PAPER_SETUPS {
-            let cfg = MachineConfig::knl7210(setup, 64);
-            let mut unbatched = TraceSim::new(&cfg, CORES, TracePlacement::AllDdr, msc());
-            unbatched.set_mesh_batching(false);
-            let expect = {
-                let mut source = kind.source(CORES, PER_CORE, SEED);
-                replay_streaming(&mut unbatched, source.as_mut())
-            };
-            let mut batched = TraceSim::new(&cfg, CORES, TracePlacement::AllDdr, msc());
-            batched.set_mesh_batching(true);
-            let got = {
-                let mut source = kind.source(CORES, PER_CORE, SEED);
-                replay_streaming(&mut batched, source.as_mut())
-            };
-            let ctx = format!("{kind:?} under {setup:?}");
-            assert_eq!(got, expect, "batched mesh report diverged: {ctx}");
-            assert_sims_match(&batched, &unbatched, &ctx);
-
-            let ct = artifact(kind, &cfg);
-            let mut classified = TraceSim::new(&cfg, CORES, TracePlacement::AllDdr, msc());
-            classified.set_mesh_batching(true);
-            let got = classified.run_classified(&ct);
-            assert_eq!(got, expect, "classified batched report diverged: {ctx}");
-            assert_sims_match(&classified, &unbatched, &ctx);
-        }
+        let mut sim = TraceSim::new(&cfg, CORES, placement, msc());
+        let got = par::with_threads(workers, || sim.run_classified(&ct));
+        let ctx = format!("hotcold workers={workers}");
+        assert_eq!(got, expect, "report diverged: {ctx}");
+        assert_sims_match(&sim, &seq, &ctx);
     }
 }
 

@@ -8,7 +8,7 @@
 //! makes the parallel/streaming speedup trustworthy: "parallel ==
 //! sequential, only faster".
 
-use knl::tracesim::{TimingMode, TraceAccess, TracePlacement, TraceSim, TraceSimReport};
+use knl::tracesim::{TraceAccess, TracePlacement, TraceSim, TraceSimReport};
 use knl::{MachineConfig, MemSetup};
 use memkind_sim::MigrationSpec;
 use simfabric::{par, ByteSize};
@@ -252,9 +252,9 @@ fn telemetry_registries_merge_to_sequential_values() {
     }
 }
 
-/// A hand-built adversarial trace for the concurrent timing engine.
-/// Every core rotates through the four interaction patterns the
-/// ownership-partitioned sequencer has to get exactly right:
+/// A hand-built adversarial trace for the windowed replay. Every core
+/// rotates through four interaction patterns that stress the shared
+/// timing state:
 ///
 /// - **shared hot lines**: all cores hammer the same eight lines, so
 ///   the same banks and rows serialize across owners and per-core
@@ -262,12 +262,12 @@ fn telemetry_registries_merge_to_sequential_values() {
 /// - **single-channel hammer**: a stride equal to one full channel
 ///   round piles every access of the burst onto one DRAM lane;
 /// - **dependent chase**: per-core pointer chases that block the core
-///   on each completion (the blocked/overtake flush path);
+///   on each completion;
 /// - **write bursts**: densely-strided writes that keep the MSHR file
-///   at capacity (the probe/stall flush path).
+///   at capacity (the stall path).
 ///
 /// Repeated same-line accesses within a core also exercise
-/// secondary-miss merges against still-deferred primaries.
+/// secondary-miss merges against in-flight primaries.
 fn contention_trace(cores: u32, per_core: u64) -> Vec<TraceAccess> {
     let mut trace = Vec::new();
     // DDR has 6 channels and MCDRAM 8; a 64-line stride is a whole
@@ -287,10 +287,10 @@ fn contention_trace(cores: u32, per_core: u64) -> Vec<TraceAccess> {
     trace
 }
 
-/// Satellite stress test: the adversarial contention trace must stay
-/// bit-identical to the sequential oracle across worker counts, forced
-/// timing modes, paper setups, and a replay window small enough to
-/// force many refills mid-contention.
+/// Stress test: the adversarial contention trace must stay
+/// bit-identical to the sequential oracle across worker counts, paper
+/// setups, and a replay window small enough to force many refills
+/// mid-contention.
 #[test]
 fn contention_stress_parallel_equals_sequential() {
     let trace = contention_trace(CORES, PER_CORE);
@@ -302,117 +302,11 @@ fn contention_stress_parallel_equals_sequential() {
             "contention trace must reach memory under {setup:?}"
         );
         for workers in WORKERS {
-            for mode in [TimingMode::Sequential, TimingMode::Concurrent] {
-                let mut sim = fresh(setup);
-                sim.set_timing_mode(Some(mode));
-                sim.set_replay_window(512);
-                let got = par::with_threads(workers, || sim.run_parallel(&trace));
-                let ctx = format!("contention {setup:?} workers={workers} mode={mode:?}");
-                assert_eq!(got, expect, "report diverged: {ctx}");
-                assert_eq!(
-                    sim.per_core_totals(),
-                    seq.per_core_totals(),
-                    "per-shard totals diverged: {ctx}"
-                );
-                assert_eq!(
-                    sim.ddr_stats(),
-                    seq.ddr_stats(),
-                    "DDR stats diverged: {ctx}"
-                );
-                assert_eq!(
-                    sim.hbm_stats(),
-                    seq.hbm_stats(),
-                    "HBM stats diverged: {ctx}"
-                );
-                assert_eq!(
-                    sim.mesh_stats(),
-                    seq.mesh_stats(),
-                    "mesh stats diverged: {ctx}"
-                );
-            }
-        }
-    }
-}
-
-/// The same adversarial trace with telemetry enabled: order-sensitive
-/// recorders (MSHR occupancy, DRAM queue-wait histograms) must land on
-/// the sequential values even though the engine has to flush around
-/// them.
-#[test]
-fn contention_stress_telemetry_matches_sequential() {
-    let trace = contention_trace(CORES, PER_CORE / 2);
-    let setup = MemSetup::CacheMode;
-    let mut plain = fresh(setup);
-    let expect = plain.run(&trace);
-    let mut seq = fresh(setup);
-    seq.enable_telemetry();
-    assert_eq!(seq.run(&trace), expect, "telemetry changed results");
-    let expect_metrics = deterministic_metrics(&seq);
-    for workers in WORKERS {
-        for mode in [TimingMode::Sequential, TimingMode::Concurrent] {
             let mut sim = fresh(setup);
-            sim.enable_telemetry();
-            sim.set_timing_mode(Some(mode));
             sim.set_replay_window(512);
             let got = par::with_threads(workers, || sim.run_parallel(&trace));
-            let ctx = format!("contention telemetry workers={workers} mode={mode:?}");
+            let ctx = format!("contention {setup:?} workers={workers}");
             assert_eq!(got, expect, "report diverged: {ctx}");
-            assert_eq!(
-                deterministic_metrics(&sim),
-                expect_metrics,
-                "device metrics diverged: {ctx}"
-            );
-        }
-    }
-}
-
-/// Period/budget for the migration equivalence runs: small enough that
-/// a 3200-access trace crosses many rebalance boundaries, so remap
-/// events interleave densely with the accesses every engine replays.
-const MIGRATE_SPEC: MigrationSpec = MigrationSpec::new(256, 16);
-
-fn fresh_migrated() -> TraceSim {
-    TraceSim::new(
-        &MachineConfig::knl7210(MemSetup::DramOnly, 64),
-        CORES,
-        TracePlacement::Migrated(MIGRATE_SPEC),
-        ByteSize::mib(4),
-    )
-}
-
-/// Replay `trace` under active migration sequentially, sharded (both
-/// forced timing modes, with a small window so remaps straddle window
-/// refills), and streaming; everything observable — including the
-/// scheduler's move-sequence digest — must be bit-identical. A remap
-/// landing one access early or late on any engine changes the routing
-/// of that access and shows up in the digest and device stats.
-fn check_migration(
-    label: &str,
-    trace: &[TraceAccess],
-    mut source: impl FnMut() -> Box<dyn TraceSource + Send>,
-) {
-    let mut seq = fresh_migrated();
-    let expect = seq.run(trace);
-    let expect_stats = seq
-        .migration_stats()
-        .expect("Migrated placement must build a scheduler");
-    assert!(
-        expect_stats.rebalances > 0,
-        "{label}: trace too short to cross a rebalance boundary"
-    );
-    for workers in WORKERS {
-        for mode in [TimingMode::Sequential, TimingMode::Concurrent] {
-            let mut sim = fresh_migrated();
-            sim.set_timing_mode(Some(mode));
-            sim.set_replay_window(512);
-            let got = par::with_threads(workers, || sim.run_parallel(trace));
-            let ctx = format!("migrated {label} workers={workers} mode={mode:?}");
-            assert_eq!(got, expect, "report diverged: {ctx}");
-            assert_eq!(
-                sim.migration_stats().as_ref(),
-                Some(&expect_stats),
-                "migration stats diverged: {ctx}"
-            );
             assert_eq!(
                 sim.per_core_totals(),
                 seq.per_core_totals(),
@@ -434,6 +328,102 @@ fn check_migration(
                 "mesh stats diverged: {ctx}"
             );
         }
+    }
+}
+
+/// The same adversarial trace with telemetry enabled: order-sensitive
+/// recorders (MSHR occupancy, DRAM queue-wait histograms) must land on
+/// the sequential values across refills.
+#[test]
+fn contention_stress_telemetry_matches_sequential() {
+    let trace = contention_trace(CORES, PER_CORE / 2);
+    let setup = MemSetup::CacheMode;
+    let mut plain = fresh(setup);
+    let expect = plain.run(&trace);
+    let mut seq = fresh(setup);
+    seq.enable_telemetry();
+    assert_eq!(seq.run(&trace), expect, "telemetry changed results");
+    let expect_metrics = deterministic_metrics(&seq);
+    for workers in WORKERS {
+        let mut sim = fresh(setup);
+        sim.enable_telemetry();
+        sim.set_replay_window(512);
+        let got = par::with_threads(workers, || sim.run_parallel(&trace));
+        let ctx = format!("contention telemetry workers={workers}");
+        assert_eq!(got, expect, "report diverged: {ctx}");
+        assert_eq!(
+            deterministic_metrics(&sim),
+            expect_metrics,
+            "device metrics diverged: {ctx}"
+        );
+    }
+}
+
+/// Period/budget for the migration equivalence runs: small enough that
+/// a 3200-access trace crosses many rebalance boundaries, so remap
+/// events interleave densely with the accesses every engine replays.
+const MIGRATE_SPEC: MigrationSpec = MigrationSpec::new(256, 16);
+
+fn fresh_migrated() -> TraceSim {
+    TraceSim::new(
+        &MachineConfig::knl7210(MemSetup::DramOnly, 64),
+        CORES,
+        TracePlacement::Migrated(MIGRATE_SPEC),
+        ByteSize::mib(4),
+    )
+}
+
+/// Replay `trace` under active migration sequentially, sharded (with a
+/// small window so remaps straddle window refills), and streaming;
+/// everything observable — including the
+/// scheduler's move-sequence digest — must be bit-identical. A remap
+/// landing one access early or late on any engine changes the routing
+/// of that access and shows up in the digest and device stats.
+fn check_migration(
+    label: &str,
+    trace: &[TraceAccess],
+    mut source: impl FnMut() -> Box<dyn TraceSource + Send>,
+) {
+    let mut seq = fresh_migrated();
+    let expect = seq.run(trace);
+    let expect_stats = seq
+        .migration_stats()
+        .expect("Migrated placement must build a scheduler");
+    assert!(
+        expect_stats.rebalances > 0,
+        "{label}: trace too short to cross a rebalance boundary"
+    );
+    for workers in WORKERS {
+        let mut sim = fresh_migrated();
+        sim.set_replay_window(512);
+        let got = par::with_threads(workers, || sim.run_parallel(trace));
+        let ctx = format!("migrated {label} workers={workers}");
+        assert_eq!(got, expect, "report diverged: {ctx}");
+        assert_eq!(
+            sim.migration_stats().as_ref(),
+            Some(&expect_stats),
+            "migration stats diverged: {ctx}"
+        );
+        assert_eq!(
+            sim.per_core_totals(),
+            seq.per_core_totals(),
+            "per-shard totals diverged: {ctx}"
+        );
+        assert_eq!(
+            sim.ddr_stats(),
+            seq.ddr_stats(),
+            "DDR stats diverged: {ctx}"
+        );
+        assert_eq!(
+            sim.hbm_stats(),
+            seq.hbm_stats(),
+            "HBM stats diverged: {ctx}"
+        );
+        assert_eq!(
+            sim.mesh_stats(),
+            seq.mesh_stats(),
+            "mesh stats diverged: {ctx}"
+        );
 
         let mut stream_sim = fresh_migrated();
         let got = par::with_threads(workers, || {
@@ -503,8 +493,8 @@ fn migration_hot_cold_parallel_equals_sequential() {
 /// Tentpole contract for in-replay time-series sampling: enabling the
 /// sampler must leave replay results bit-identical, and the sampled
 /// windows themselves must be bit-identical across the sequential,
-/// sharded (both forced timing modes), and streaming engines at every
-/// worker count — the sampling clock is merge-order simulated
+/// sharded, and streaming entry points at every worker count — the
+/// sampling clock is merge-order simulated
 /// progress, not wall time, so the exported JSONL matches byte for
 /// byte. Covers all five paper generators.
 #[test]
@@ -530,20 +520,17 @@ fn timeseries_sampling_invisible_and_identical_across_engines() {
         let expect_jsonl = rec.to_jsonl();
 
         for workers in WORKERS {
-            for mode in [TimingMode::Sequential, TimingMode::Concurrent] {
-                let mut sim = fresh(setup);
-                sim.enable_timeseries(INTERVAL, CAPACITY);
-                sim.set_timing_mode(Some(mode));
-                sim.set_replay_window(512);
-                let got = par::with_threads(workers, || sim.run_parallel(&trace));
-                let ctx = format!("{kind:?} workers={workers} mode={mode:?}");
-                assert_eq!(got, expect, "sampled report diverged: {ctx}");
-                assert_eq!(
-                    sim.timeseries().expect("sampling enabled").to_jsonl(),
-                    expect_jsonl,
-                    "sampled windows diverged: {ctx}"
-                );
-            }
+            let mut sim = fresh(setup);
+            sim.enable_timeseries(INTERVAL, CAPACITY);
+            sim.set_replay_window(512);
+            let got = par::with_threads(workers, || sim.run_parallel(&trace));
+            let ctx = format!("{kind:?} workers={workers}");
+            assert_eq!(got, expect, "sampled report diverged: {ctx}");
+            assert_eq!(
+                sim.timeseries().expect("sampling enabled").to_jsonl(),
+                expect_jsonl,
+                "sampled windows diverged: {ctx}"
+            );
 
             let mut stream_sim = fresh(setup);
             stream_sim.enable_timeseries(INTERVAL, CAPACITY);
@@ -606,20 +593,17 @@ fn timeseries_migration_series_identical_across_engines() {
     let expect_jsonl = rec.to_jsonl();
 
     for workers in WORKERS {
-        for mode in [TimingMode::Sequential, TimingMode::Concurrent] {
-            let mut sim = fresh_migrated();
-            sim.enable_timeseries(INTERVAL, CAPACITY);
-            sim.set_timing_mode(Some(mode));
-            sim.set_replay_window(512);
-            let got = par::with_threads(workers, || sim.run_parallel(&trace));
-            let ctx = format!("migrated sampling workers={workers} mode={mode:?}");
-            assert_eq!(got, expect, "report diverged: {ctx}");
-            assert_eq!(
-                sim.timeseries().expect("sampling enabled").to_jsonl(),
-                expect_jsonl,
-                "sampled windows diverged: {ctx}"
-            );
-        }
+        let mut sim = fresh_migrated();
+        sim.enable_timeseries(INTERVAL, CAPACITY);
+        sim.set_replay_window(512);
+        let got = par::with_threads(workers, || sim.run_parallel(&trace));
+        let ctx = format!("migrated sampling workers={workers}");
+        assert_eq!(got, expect, "report diverged: {ctx}");
+        assert_eq!(
+            sim.timeseries().expect("sampling enabled").to_jsonl(),
+            expect_jsonl,
+            "sampled windows diverged: {ctx}"
+        );
 
         let mut stream_sim = fresh_migrated();
         stream_sim.enable_timeseries(INTERVAL, CAPACITY);
