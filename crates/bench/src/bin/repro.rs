@@ -79,10 +79,11 @@
 //!                        # and print the speedup + classify-cache
 //!                        # metrics
 //! repro bench-sweep [--smoke] [--iters N] [--tol F] [--min-speedup F]
-//!                        # CI gate: sweep-reuse speedup >= F (default
-//!                        # 1.5) and reuse plumbing overhead with the
-//!                        # cache disabled <= tol (default 2%); exit 1
-//!                        # on failure
+//!                        # CI gate: the engine classifies once per
+//!                        # classify signature, sweep-reuse speedup
+//!                        # >= F (default 1.5) and reuse plumbing
+//!                        # overhead with the cache disabled <= tol
+//!                        # (default 2%); exit 1 on failure
 //! repro advise <workload> [--budget-kib K] [--threads T] [--seed S]
 //!              [--period P] [--json]
 //!                        # one placement-advice query through the
@@ -681,6 +682,15 @@ fn main() {
                 bench::sweep::standard_sweep_config()
             };
             let label = cfg.label();
+            match bench::sweep::check_classify_once(&cfg) {
+                Ok((points, builds)) => println!(
+                    "{label}: classify-once — {points} points replayed from {builds} classifications"
+                ),
+                Err(e) => {
+                    eprintln!("{label}: {e}");
+                    std::process::exit(1);
+                }
+            }
             let m = bench::sweep::measure_sweep(&cfg, iters);
             // Two estimators, mirroring bench-overhead but inverted:
             // a genuine speedup inflates both the median pair ratio

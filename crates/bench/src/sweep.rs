@@ -24,11 +24,13 @@ use crate::replay::{OverheadMeasurement, BENCH_SEED};
 use hybridmem::json::Json;
 use hybridmem::TraceSpec;
 use knl::tracesim::{TracePlacement, TraceSim, TraceSimReport};
-use knl::{classify_signature, ClassifiedTrace, MachineConfig, MemSetup};
+use knl::{
+    classify_signature, with_global_classify_cache, ClassifiedTrace, MachineConfig, MemSetup,
+};
 use memkind_sim::migrate::{MigrationStats, PAGE_BYTES};
 use memkind_sim::MigrationSpec;
 use simfabric::ByteSize;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 use workloads::tracegen::{classify_streaming, replay_streaming, TraceKind};
 
@@ -382,6 +384,34 @@ pub fn run_engine_sweep(
             (point.label.clone(), report, sim.migration_stats())
         })
         .collect()
+}
+
+/// Replay the sweep through the production engine from a cold global
+/// classify cache and check that it classified exactly once per
+/// classify signature and served every other point from the cache —
+/// the property the reuse speedup rests on, checked without timing.
+/// Returns `(points, classifications)`.
+pub fn check_classify_once(cfg: &SweepBenchConfig) -> Result<(usize, u64), String> {
+    let points = cfg.points().len() as u64;
+    let signatures = cfg
+        .points()
+        .iter()
+        .map(|p| classify_signature(&MachineConfig::knl7210(p.setup, 64), p.msc))
+        .collect::<HashSet<_>>()
+        .len() as u64;
+    with_global_classify_cache(|c| c.clear());
+    let before = with_global_classify_cache(|c| c.stats());
+    run_engine_sweep(cfg);
+    let after = with_global_classify_cache(|c| c.stats());
+    let (builds, hits) = (after.misses - before.misses, after.hits - before.hits);
+    if builds != signatures || hits != points - signatures {
+        return Err(format!(
+            "{points} points over {signatures} classify signatures should classify \
+             {signatures} times and hit the cache {} times; got {builds} and {hits}",
+            points - signatures
+        ));
+    }
+    Ok((points as usize, builds))
 }
 
 /// The bundled sweep-bench scenario for `repro bench-replay` /

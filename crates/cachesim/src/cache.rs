@@ -212,11 +212,14 @@ impl Cache {
     pub fn access(&mut self, addr: u64, kind: AccessKind) -> AccessOutcome {
         let (set, tag) = self.index(addr);
         let ways = self.config.ways;
-        // Hit path.
+        // One pass over the set: the hit, else the first invalid way.
         let base = set as usize * ways as usize;
+        let mut invalid = None;
         for w in 0..ways {
             let way = &mut self.sets[base + w as usize];
-            if way.valid && way.tag == tag {
+            if !way.valid {
+                invalid = invalid.or(Some(w));
+            } else if way.tag == tag {
                 if kind == AccessKind::Write {
                     way.dirty = true;
                     self.stats.write_hits.incr();
@@ -239,7 +242,6 @@ impl Cache {
             };
         }
         // Prefer an invalid way before victimizing.
-        let invalid = (0..ways).find(|&w| !self.sets[base + w as usize].valid);
         let (victim_way, evicted_dirty) = match invalid {
             Some(w) => (w, None),
             None => {

@@ -49,6 +49,10 @@ pub struct MemorySideCache {
     dirty: Vec<bool>,
     line_bytes: u32,
     slots: u64,
+    /// log2 of `line_bytes`.
+    line_shift: u32,
+    /// log2 of `slots`.
+    slot_bits: u32,
     /// Hits.
     pub hits: Counter,
     /// Misses.
@@ -75,6 +79,8 @@ impl MemorySideCache {
             dirty: vec![false; slots as usize],
             line_bytes,
             slots,
+            line_shift: line_bytes.trailing_zeros(),
+            slot_bits: slots.trailing_zeros(),
             hits: Counter::new(),
             misses: Counter::new(),
             writebacks: Counter::new(),
@@ -88,9 +94,9 @@ impl MemorySideCache {
 
     /// Access the line containing `addr`.
     pub fn access(&mut self, addr: u64, is_write: bool) -> MscOutcome {
-        let line = addr / self.line_bytes as u64;
-        let slot = (line % self.slots) as usize;
-        let tag = line / self.slots;
+        let line = addr >> self.line_shift;
+        let slot = (line & (self.slots - 1)) as usize;
+        let tag = line >> self.slot_bits;
         if self.tags[slot] == tag {
             self.hits.incr();
             if is_write {
@@ -101,7 +107,7 @@ impl MemorySideCache {
         self.misses.incr();
         let dirty_victim = if self.tags[slot] != u64::MAX && self.dirty[slot] {
             self.writebacks.incr();
-            Some((self.tags[slot] * self.slots + slot as u64) * self.line_bytes as u64)
+            Some(((self.tags[slot] << self.slot_bits) | slot as u64) << self.line_shift)
         } else {
             None
         };
@@ -119,7 +125,7 @@ impl MemorySideCache {
     /// set-partitioned timing: whichever worker owns this slot's range
     /// owns every access to `addr`.
     pub fn slot_of(&self, addr: u64) -> u64 {
-        (addr / self.line_bytes as u64) % self.slots
+        (addr >> self.line_shift) & (self.slots - 1)
     }
 
     /// Move the tag/dirty state out into `parts` contiguous, disjoint

@@ -85,7 +85,7 @@ impl Replacer {
                 // Walk from the root; at each level set the bit to point
                 // *away* from the touched way.
                 let mut node = 0usize; // index within the implicit tree
-                let levels = (self.ways as f64).log2() as u32;
+                let levels = self.ways.trailing_zeros();
                 let mut lo = 0u16;
                 let mut hi = self.ways;
                 for _ in 0..levels {
@@ -129,7 +129,7 @@ impl Replacer {
             SetState::Order(order) => order[0] as u16,
             SetState::Tree(bits) => {
                 let mut node = 0usize;
-                let levels = (self.ways as f64).log2() as u32;
+                let levels = self.ways.trailing_zeros();
                 let mut lo = 0u16;
                 let mut hi = self.ways;
                 for _ in 0..levels {

@@ -6,10 +6,22 @@
 //! pages (8 entries for 2-MB pages at L1). This module models a
 //! two-level TLB exactly and provides the analytic miss-rate helper the
 //! latency model uses at paper scale.
+//!
+//! A two-level TLB whose L1 victims fall to the top of an LRU L2, and
+//! whose L2 hits move back up to L1, is one exact LRU stack of depth
+//! `l1_entries + l2_entries`: L1 is the top `l1_entries` entries, an L2
+//! hit is a hit at a depth in `[l1, l1 + l2)`, and anything deeper
+//! walks. [`Tlb`] keeps that stack as an intrusive doubly linked list
+//! over a fixed slot array, with a pointer to the deepest L1 entry (the
+//! L1/L2 boundary) and a page → slot hash index sized at
+//! construction. A translation is one index probe and a constant
+//! number of list splices: O(1), with no allocation once the stack is
+//! full.
 
 use simfabric::stats::Counter;
 use simfabric::{ByteSize, Duration};
-use std::collections::VecDeque;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Supported page sizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -95,20 +107,6 @@ impl TlbConfig {
     }
 }
 
-/// Exact two-level, fully associative LRU TLB.
-#[derive(Debug, Clone)]
-pub struct Tlb {
-    config: TlbConfig,
-    l1: VecDeque<u64>,
-    l2: VecDeque<u64>,
-    /// L1 hits.
-    pub l1_hits: Counter,
-    /// L2 hits (L1 misses).
-    pub l2_hits: Counter,
-    /// Full page walks.
-    pub walks: Counter,
-}
-
 /// Where a translation was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TlbOutcome {
@@ -131,14 +129,91 @@ impl TlbOutcome {
     }
 }
 
+/// Sentinel slot index: "no entry" in the recency list.
+const NIL: u32 = u32::MAX;
+
+/// One TLB entry: a page on the recency list.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    page: u64,
+    /// Neighbour towards the MRU end.
+    prev: u32,
+    /// Neighbour towards the LRU end.
+    next: u32,
+    /// Whether the entry sits in the top `l1_entries` of the stack.
+    in_l1: bool,
+}
+
+/// Hasher for the page → slot index: one multiply, with the high half
+/// folded into the low bits so the bucket index (low bits) and the
+/// control tag (high bits) both depend on every page bit.
+#[derive(Debug, Clone, Copy, Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("pages hash through write_u64");
+    }
+
+    #[inline]
+    fn write_u64(&mut self, page: u64) {
+        let h = page.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Page → slot map.
+type PageIndex = HashMap<u64, u32, BuildHasherDefault<PageHasher>>;
+
+/// Exact two-level, fully associative LRU TLB, kept as one LRU stack
+/// of depth `l1_entries + l2_entries` (see the module docs).
+#[derive(Debug, Clone)]
+pub struct Tlb {
+    config: TlbConfig,
+    page_shift: u32,
+    /// Entry storage: grows to `l1_entries + l2_entries` slots, after
+    /// which every fill reuses the LRU slot.
+    slots: Vec<Slot>,
+    index: PageIndex,
+    /// MRU end of the recency list.
+    head: u32,
+    /// LRU end of the recency list.
+    tail: u32,
+    /// Deepest entry of the L1 region (the L1/L2 boundary).
+    l1_tail: u32,
+    /// Entries in the L1 region.
+    l1_len: usize,
+    /// L1 hits.
+    pub l1_hits: Counter,
+    /// L2 hits (L1 misses).
+    pub l2_hits: Counter,
+    /// Full page walks.
+    pub walks: Counter,
+}
+
 impl Tlb {
     /// Build a TLB from `config`.
     pub fn new(config: TlbConfig) -> Self {
         assert!(config.l1_entries > 0, "L1 TLB needs entries");
+        let depth = config.l1_entries + config.l2_entries;
+        assert!(depth < NIL as usize, "TLB too large");
         Tlb {
             config,
-            l1: VecDeque::with_capacity(config.l1_entries),
-            l2: VecDeque::with_capacity(config.l2_entries),
+            page_shift: config.page_size.bytes().trailing_zeros(),
+            slots: Vec::with_capacity(depth),
+            // Twice the depth: the map then always rehashes in place
+            // when deleted buckets use up its spare room, rather than
+            // growing, so it never allocates after construction.
+            index: PageIndex::with_capacity_and_hasher(2 * depth, Default::default()),
+            head: NIL,
+            tail: NIL,
+            l1_tail: NIL,
+            l1_len: 0,
             l1_hits: Counter::new(),
             l2_hits: Counter::new(),
             walks: Counter::new(),
@@ -152,39 +227,104 @@ impl Tlb {
 
     /// Translate the page containing `addr`.
     pub fn translate(&mut self, addr: u64) -> TlbOutcome {
-        let page = addr / self.config.page_size.bytes();
-        // L1 lookup (front = MRU).
-        if let Some(pos) = self.l1.iter().position(|&p| p == page) {
-            self.l1.remove(pos);
-            self.l1.push_front(page);
-            self.l1_hits.incr();
-            return TlbOutcome::L1Hit;
-        }
-        let outcome = if let Some(pos) = self.l2.iter().position(|&p| p == page) {
-            self.l2.remove(pos);
-            self.l2_hits.incr();
-            TlbOutcome::L2Hit
-        } else {
-            self.walks.incr();
-            TlbOutcome::Walk
-        };
-        // Fill L1; displaced L1 entry falls to L2.
-        if self.l1.len() == self.config.l1_entries {
-            let victim = self.l1.pop_back().expect("L1 full");
-            if self.config.l2_entries > 0 {
-                if self.l2.len() == self.config.l2_entries {
-                    self.l2.pop_back();
+        let page = addr >> self.page_shift;
+        match self.index.get(&page).copied() {
+            Some(s) if self.slots[s as usize].in_l1 => {
+                self.l1_hits.incr();
+                if s != self.head {
+                    if s == self.l1_tail {
+                        self.l1_tail = self.slots[s as usize].prev;
+                    }
+                    self.unlink(s);
+                    self.push_front(s);
                 }
-                self.l2.push_front(victim);
+                TlbOutcome::L1Hit
+            }
+            Some(s) => {
+                self.l2_hits.incr();
+                self.unlink(s);
+                self.promote(s);
+                TlbOutcome::L2Hit
+            }
+            None => {
+                self.walks.incr();
+                let s = self.claim_slot(page);
+                self.promote(s);
+                TlbOutcome::Walk
             }
         }
-        self.l1.push_front(page);
-        outcome
     }
 
     /// Total translations performed.
     pub fn translations(&self) -> u64 {
         self.l1_hits.get() + self.l2_hits.get() + self.walks.get()
+    }
+
+    /// An unlinked slot holding `page`: a fresh one while the stack is
+    /// shallower than its depth, else the evicted LRU entry's.
+    fn claim_slot(&mut self, page: u64) -> u32 {
+        let depth = self.config.l1_entries + self.config.l2_entries;
+        if self.slots.len() < depth {
+            let s = self.slots.len() as u32;
+            self.slots.push(Slot {
+                page,
+                prev: NIL,
+                next: NIL,
+                in_l1: false,
+            });
+            self.index.insert(page, s);
+            return s;
+        }
+        let s = self.tail;
+        if self.slots[s as usize].in_l1 {
+            // No L2 level: the LRU entry is the L1 boundary itself.
+            self.l1_tail = self.slots[s as usize].prev;
+            self.l1_len -= 1;
+        }
+        self.unlink(s);
+        self.index.remove(&self.slots[s as usize].page);
+        self.slots[s as usize].page = page;
+        self.index.insert(page, s);
+        s
+    }
+
+    /// Link unlinked slot `s` in as the MRU entry of the L1 region; a
+    /// full L1 demotes its deepest entry to the top of L2.
+    fn promote(&mut self, s: u32) {
+        self.push_front(s);
+        self.slots[s as usize].in_l1 = true;
+        self.l1_len += 1;
+        if self.l1_len == 1 {
+            self.l1_tail = s;
+        } else if self.l1_len > self.config.l1_entries {
+            let demoted = self.l1_tail as usize;
+            self.slots[demoted].in_l1 = false;
+            self.l1_tail = self.slots[demoted].prev;
+            self.l1_len -= 1;
+        }
+    }
+
+    fn unlink(&mut self, s: u32) {
+        let Slot { prev, next, .. } = self.slots[s as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n as usize].prev = prev,
+        }
+    }
+
+    fn push_front(&mut self, s: u32) {
+        let old = self.head;
+        self.slots[s as usize].prev = NIL;
+        self.slots[s as usize].next = old;
+        match old {
+            NIL => self.tail = s,
+            h => self.slots[h as usize].prev = s,
+        }
+        self.head = s;
     }
 }
 

@@ -346,6 +346,7 @@ mod tests {
 
     #[test]
     fn replayed_advice_covers_placements_and_repeated_queries_share_artifacts() {
+        let _cache = crate::sweep::lock_global_classify_cache();
         use workloads::tracegen::TraceKind;
         let spec = TraceSpec::from_kind(TraceKind::Stream, 4, 400, 0xAD51);
         let first = advise_replayed(&spec, ByteSize::kib(256));

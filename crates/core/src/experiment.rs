@@ -366,6 +366,7 @@ mod tests {
 
     #[test]
     fn trace_sweep_covers_kinds_by_setups_and_is_worker_independent() {
+        let _cache = crate::sweep::lock_global_classify_cache();
         let sweep = TraceSweep {
             kinds: vec![TraceKind::Stream, TraceKind::Gups],
             cores: 4,
@@ -384,6 +385,7 @@ mod tests {
 
     #[test]
     fn trace_sweep_metrics_ride_along_without_changing_reports() {
+        let _cache = crate::sweep::lock_global_classify_cache();
         let sweep = TraceSweep {
             kinds: vec![TraceKind::Stream],
             cores: 4,

@@ -385,6 +385,7 @@ mod tests {
 
     #[test]
     fn golden_sweep_runs_and_orders_sanely() {
+        let _cache = crate::sweep::lock_global_classify_cache();
         let sweep = run_migration_sweep(&MigrationSweepConfig::golden());
         assert_eq!(sweep.statics.len(), 4);
         assert_eq!(sweep.migrated.len(), 4);
@@ -415,6 +416,7 @@ mod tests {
 
     #[test]
     fn figure_has_migrated_plus_static_series() {
+        let _cache = crate::sweep::lock_global_classify_cache();
         let f = figure_from_sweep(&run_migration_sweep(&MigrationSweepConfig::golden()));
         assert_eq!(f.id, "ext-migrate");
         assert_eq!(f.series.len(), 5);

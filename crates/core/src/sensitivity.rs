@@ -292,6 +292,7 @@ mod tests {
 
     #[test]
     fn replayed_split_scan_shares_one_artifact_and_matches_endpoints() {
+        let _cache = crate::sweep::lock_global_classify_cache();
         use workloads::tracegen::TraceKind;
         let spec = TraceSpec::from_kind(TraceKind::Stream, 4, 400, 0x5CA9);
         let before = knl::with_global_classify_cache(|c| c.stats());

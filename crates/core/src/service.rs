@@ -691,6 +691,7 @@ mod tests {
     /// its bucket, seeded so failures replay.
     #[test]
     fn same_key_queries_get_bit_identical_advice() {
+        let _cache = crate::sweep::lock_global_classify_cache();
         let mut rng = Rng::seed_from_u64(0x5E41CE);
         let base = tiny_query();
         let base_key = canonicalize(&base);
@@ -753,6 +754,7 @@ mod tests {
 
     #[test]
     fn batch_dedupes_and_warm_round_hits() {
+        let _cache = crate::sweep::lock_global_classify_cache();
         let service = AdvisorService::new(RESULT_CACHE_DEFAULT_BYTES, 2);
         let mut queries = Vec::new();
         for i in 0..6 {
@@ -787,6 +789,7 @@ mod tests {
 
     #[test]
     fn single_query_path_is_the_batch_path() {
+        let _cache = crate::sweep::lock_global_classify_cache();
         let service = AdvisorService::new(RESULT_CACHE_DEFAULT_BYTES, 4);
         let q = tiny_query();
         let via_advise = service.advise(&q);
@@ -798,6 +801,7 @@ mod tests {
 
     #[test]
     fn batch_answers_match_workers_any_width() {
+        let _cache = crate::sweep::lock_global_classify_cache();
         let mut queries = Vec::new();
         for i in 0..4u64 {
             let mut q = tiny_query();
@@ -836,6 +840,7 @@ mod tests {
 
     #[test]
     fn advice_document_validates_and_round_trips() {
+        let _cache = crate::sweep::lock_global_classify_cache();
         let q = tiny_query();
         let key = canonicalize(&q);
         let advice = answer(&key);
@@ -863,6 +868,7 @@ mod tests {
 
     #[test]
     fn metrics_cover_the_cache_counters() {
+        let _cache = crate::sweep::lock_global_classify_cache();
         use simfabric::telemetry::MetricValue;
         let service = AdvisorService::new(RESULT_CACHE_DEFAULT_BYTES, 1);
         let q = tiny_query();

@@ -182,6 +182,18 @@ pub fn classify_metrics() -> MetricsRegistry {
     with_global_classify_cache(|cache| cache.metrics_registry())
 }
 
+/// Serializes the tests that classify through the process-global
+/// classify cache. Its hit/miss counters and LRU contents are shared by
+/// every test in the binary, so a test that asserts on them would
+/// otherwise see misses and evictions from tests running beside it.
+/// Every such test holds this guard for its whole body.
+#[cfg(test)]
+pub(crate) fn lock_global_classify_cache() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,6 +228,7 @@ mod tests {
 
     #[test]
     fn classified_for_hits_the_global_cache_on_reuse() {
+        let _cache = lock_global_classify_cache();
         // A spec label no other test uses, so the first call misses.
         let s = TraceSpec::new("sweeptest:stream:4x150:seed=0x51", 4, || {
             TraceKind::Stream.source(4, 150, 0x51)
@@ -233,6 +246,7 @@ mod tests {
 
     #[test]
     fn replay_point_matches_fresh_replay_in_both_modes() {
+        let _cache = lock_global_classify_cache();
         let s = spec();
         let cfg = MachineConfig::knl7210(MemSetup::DramOnly, 64);
         let mut fresh = TraceSim::new(&cfg, 4, TracePlacement::AllDdr, ByteSize::mib(8));

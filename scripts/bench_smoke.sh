@@ -49,18 +49,26 @@ for _attempt in 1 2 3; do
 done
 [[ "$gate_ok" == 1 ]]
 
-# Sweep-reuse gate: the classify-once / replay-many engine must beat
-# regenerate-per-point by >= 1.5x on the bundled smoke sweep, and its
-# plumbing must stay within 2 % of the direct path when the artifact
-# cache is disabled (SWEEP_REUSE=0). Both arms are asserted pointwise
+# Sweep-reuse gate: replayed through the production engine from a
+# cold classify cache, the bundled smoke sweep must classify once per
+# classify signature (2 builds, 3 cache hits for its 5 points) — a
+# deterministic check, so classification sneaking back into the
+# per-point loop fails every attempt. The classify-once arm must also
+# beat regenerate-per-point by >= 1.25x, and its plumbing must stay
+# within 2 % of the direct path when the artifact cache is disabled
+# (SWEEP_REUSE=0). Both timed arms are asserted pointwise
 # bit-identical inside the verb — reports and migration move digests —
-# so this can only fail on speed, never by timing a diverged engine.
-# Same three-attempt timer-noise policy as above; a genuine regression
-# (classification sneaking back into the per-point loop) fails all
-# three.
+# so the timing checks can only fail on speed, never by timing a
+# diverged engine. The speedup floor scales with what classification
+# costs next to the replay it is reused by. It sits where the old 1.5x
+# floor sat before classification became O(1) per access: in 37
+# interleaved single attempts per side on a 2-CPU host, the median
+# speedup went from 1.56x to 1.29x, and 8 of 37 attempts fell below
+# 1.5x before versus 9 of 37 below 1.25x after. Same three-attempt
+# timer-noise policy as above.
 sweep_ok=0
 for _attempt in 1 2 3; do
-    if "$REPRO" bench-sweep --smoke --iters 6 --min-speedup 1.5 --tol 0.02; then
+    if "$REPRO" bench-sweep --smoke --iters 6 --min-speedup 1.25 --tol 0.02; then
         sweep_ok=1
         break
     fi

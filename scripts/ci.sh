@@ -13,6 +13,11 @@ cargo build --release --offline
 TRACESIM_THREADS=1 cargo test -q --offline
 TRACESIM_THREADS=8 cargo test -q --offline
 
+# The runs above test only the root package. The cache-structure
+# crate's reference-model tests (tests/reference_models.rs: TLB, tree
+# PLRU, LRU and memory-side cache against naive models) gate here.
+cargo test -q --offline -p cachesim
+
 # Migration gates, under a watchdog. The test runs above already prove
 # the scheduler remaps at identical trace offsets on every replay entry
 # point (tests/parallel_equivalence.rs `migration_*`); here the
