@@ -85,11 +85,10 @@ use crate::classified::{classify_signature, ClassifiedTrace};
 use crate::config::{MachineConfig, MemSetup};
 use cachesim::cache::AccessKind;
 use cachesim::hierarchy::{Hierarchy, HierarchyConfig, LevelHit};
-use cachesim::mcdram_cache::MemorySideCache;
 use cachesim::mshr::{Mshr, MshrOutcome};
 use memdev::bank::{DramModel, DramStats};
 use memkind_sim::migrate::{MigrationCost, MigrationSpec, MigrationStats, PageScheduler};
-use mesh::{MeshModel, MeshTally};
+use mesh::{ClusterMode, MeshModel, MeshTally};
 use simfabric::merge::LoserTree;
 use simfabric::par;
 use simfabric::stats::Histogram;
@@ -97,6 +96,7 @@ use simfabric::telemetry::timeseries::{SeriesId, TimeSeriesRecorder};
 use simfabric::telemetry::{MetricsRegistry, SpanLog};
 use simfabric::{ByteSize, Duration, SimTime};
 use std::collections::VecDeque;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// One trace record.
@@ -492,11 +492,12 @@ pub(crate) fn hierarchy_config(cfg: &MachineConfig, msc_capacity: ByteSize) -> H
     hier_cfg
 }
 
-/// Per-core state of the replay engine: the private hierarchy, the
-/// unclassified slice of the current window or chunk, and the
-/// classified backlog awaiting the timing merge.
+/// Per-core state of the replay engine: the private hierarchy (absent
+/// while a simulator has only replayed artifacts), the unclassified
+/// slice of the current window or chunk, and the classified backlog
+/// awaiting the timing merge.
 struct ReplayShard {
-    hier: Hierarchy,
+    hier: Option<Hierarchy>,
     pending: Vec<TraceAccess>,
     queue: ClassifiedSoa,
 }
@@ -555,9 +556,49 @@ struct ReplayTimeSeries {
     hbm_min: Duration,
 }
 
+/// The analytic mesh constants replay charges per memory access under
+/// one cluster mode: half the average round-trip latency (added on the
+/// request and again on the response) and the rounded round-trip hop
+/// count, for each memory class.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct MeshConstants {
+    resp_half_ddr: Duration,
+    resp_half_hbm: Duration,
+    hops_ddr: u64,
+    hops_hbm: u64,
+}
+
+impl MeshConstants {
+    /// The constants for `mode`, computed once per process. Each
+    /// average samples thousands of addresses yet depends on nothing
+    /// but the cluster mode, so every simulator shares one result.
+    fn for_mode(mode: ClusterMode) -> Self {
+        static MEMO: [OnceLock<MeshConstants>; 4] = [const { OnceLock::new() }; 4];
+        let slot = match mode {
+            ClusterMode::AllToAll => 0,
+            ClusterMode::Quadrant => 1,
+            ClusterMode::Hemisphere => 2,
+            ClusterMode::Snc4 => 3,
+        };
+        *MEMO[slot].get_or_init(|| {
+            let mesh = MeshModel::knl(mode);
+            MeshConstants {
+                resp_half_ddr: mesh.avg_memory_latency(false).scale(0.5),
+                resp_half_hbm: mesh.avg_memory_latency(true).scale(0.5),
+                hops_ddr: mesh.avg_memory_hops(false),
+                hops_hbm: mesh.avg_memory_hops(true),
+            }
+        })
+    }
+}
+
 /// The trace-driven simulator.
 pub struct TraceSim {
+    /// Per-core private hierarchies, built from `hier_cfg` on the
+    /// first entry point that classifies (see [`TraceSim::new`]);
+    /// empty until then.
     hierarchies: Vec<Hierarchy>,
+    hier_cfg: HierarchyConfig,
     /// Per-core MSHR files bounding outstanding line misses — the same
     /// limit [`crate::calib::STREAM_MLP_PER_CORE_1T`] captures
     /// analytically.
@@ -566,7 +607,10 @@ pub struct TraceSim {
     mesh: MeshModel,
     ddr: DramModel,
     hbm: DramModel,
-    msc: Option<MemorySideCache>,
+    /// Whether the setup has a memory-side MCDRAM cache in front of
+    /// DDR (its tags live in the private hierarchies; replay only
+    /// needs to know it is there to route and price the miss chain).
+    has_msc: bool,
     placement: TracePlacement,
     /// Hot-page migration scheduler, present only for an *enabled*
     /// [`TracePlacement::Migrated`] spec in flat mode. Ticked exactly
@@ -575,12 +619,8 @@ pub struct TraceSim {
     /// worker count.
     migration: Option<Box<PageScheduler>>,
     line_bytes: u64,
-    /// Precomputed average response-path latencies (half a round trip).
-    resp_half_ddr: Duration,
-    resp_half_hbm: Duration,
-    /// Round-trip hop counts for analytic mesh message accounting.
-    hops_ddr: u64,
-    hops_hbm: u64,
+    /// Analytic mesh latencies and hop counts, shared per cluster mode.
+    mesh_consts: MeshConstants,
     /// Batched mesh pricing: analytic messages accumulate here and
     /// fold into the mesh at every refill and in
     /// [`finish`](Self::finish).
@@ -617,39 +657,41 @@ pub struct TraceSim {
 
 impl TraceSim {
     /// Build a trace simulator for `cores` cores under `cfg`'s memory
-    /// setup. `msc_capacity` scales the MCDRAM cache for tractable
-    /// tests (pass the full 16 GiB for fidelity).
+    /// setup. `msc_capacity` sizes the memory-side-cache tags of the
+    /// private hierarchies in cache mode, and is part of the
+    /// [`classify_signature`](Self::classify_signature).
+    ///
+    /// Construction is cheap: the mesh averages are memoized per
+    /// cluster mode, and the per-core hierarchies (L1, L2, TLB and, in
+    /// cache mode, memory-side-cache tags of `msc_capacity` per core)
+    /// are only built by the entry points that classify —
+    /// [`access`](Self::access), [`run`](Self::run),
+    /// [`run_parallel`](Self::run_parallel) and
+    /// [`run_streaming`](Self::run_streaming). A simulator that only
+    /// replays artifacts through [`run_classified`](Self::run_classified)
+    /// never allocates them, so even the full 16 GiB capacity costs
+    /// nothing there. Classifying at 16 GiB allocates 256 Mi tag
+    /// entries (about 2.3 GB) per core; tests scale it down.
     pub fn new(
         cfg: &MachineConfig,
         cores: u32,
         placement: TracePlacement,
         msc_capacity: ByteSize,
     ) -> Self {
-        let hier_cfg = hierarchy_config(cfg, msc_capacity);
-        let mesh = MeshModel::knl(cfg.cluster);
-        let resp_half_ddr = mesh.avg_memory_latency(false).scale(0.5);
-        let resp_half_hbm = mesh.avg_memory_latency(true).scale(0.5);
-        let hops_ddr = mesh.avg_memory_hops(false);
-        let hops_hbm = mesh.avg_memory_hops(true);
         TraceSim {
-            hierarchies: (0..cores).map(|_| Hierarchy::new(hier_cfg)).collect(),
+            hierarchies: Vec::new(),
+            hier_cfg: hierarchy_config(cfg, msc_capacity),
             mshrs: (0..cores)
                 .map(|_| Mshr::new(crate::calib::STREAM_MLP_PER_CORE_1T as usize))
                 .collect(),
             core_clock: vec![SimTime::ZERO; cores as usize],
-            mesh,
-            resp_half_ddr,
-            resp_half_hbm,
-            hops_ddr,
-            hops_hbm,
+            mesh: MeshModel::knl(cfg.cluster),
+            mesh_consts: MeshConstants::for_mode(cfg.cluster),
             mesh_tally: MeshTally::default(),
             classify_sig: classify_signature(cfg, msc_capacity),
             ddr: DramModel::ddr4_knl(),
             hbm: DramModel::mcdram_knl(),
-            msc: cfg
-                .setup
-                .has_mcdram_cache()
-                .then(|| MemorySideCache::new(msc_capacity, 64)),
+            has_msc: cfg.setup.has_mcdram_cache(),
             migration: match placement {
                 TracePlacement::Migrated(spec) if !cfg.setup.has_mcdram_cache() => {
                     PageScheduler::new(spec, MigrationCost::from_devices(&cfg.ddr, &cfg.mcdram))
@@ -680,6 +722,15 @@ impl TraceSim {
     /// Simulated cores (one replay shard each).
     pub fn cores(&self) -> usize {
         self.core_clock.len()
+    }
+
+    /// Build the per-core private hierarchies on first use. Only the
+    /// entry points that classify call this (see [`new`](Self::new)).
+    fn ensure_hierarchies(&mut self) {
+        if self.hierarchies.is_empty() {
+            let cfg = self.hier_cfg;
+            self.hierarchies = (0..self.cores()).map(|_| Hierarchy::new(cfg)).collect();
+        }
     }
 
     /// This simulator's classification signature — the cache/TLB half
@@ -773,7 +824,7 @@ impl TraceSim {
     /// (the cache-mode miss chain touches MCDRAM twice and DDR once).
     /// Callers gate on `timeseries.is_some()`.
     fn ts_note_lines(&mut self, level: LevelHit, is_hbm_target: bool) {
-        let msc = self.msc.is_some();
+        let msc = self.has_msc;
         let ts = self.timeseries.as_mut().expect("caller gates on is_some");
         match (msc, level) {
             (true, LevelHit::McdramCache) => ts.rec.add(ts.hbm_lines, 1.0),
@@ -796,11 +847,11 @@ impl TraceSim {
         arrive: SimTime,
         done: SimTime,
     ) {
-        let msc = self.msc.is_some();
+        let msc = self.has_msc;
         let resp_half = if is_hbm_target {
-            self.resp_half_hbm
+            self.mesh_consts.resp_half_hbm
         } else {
-            self.resp_half_ddr
+            self.mesh_consts.resp_half_ddr
         };
         let ts = self.timeseries.as_mut().expect("caller gates on is_some");
         let (serves_ddr, m1, m2) = match (msc, level) {
@@ -885,11 +936,13 @@ impl TraceSim {
         reg.counter("shard.mcdram_cache_hits", t.mcdram_cache_hits);
         reg.counter("shard.total_latency_ps", t.total_latency.as_ps());
         reg.gauge("shard.makespan_us", t.makespan.as_ns() / 1e3);
-        let h = &self.hierarchies[core];
-        reg.counter("cache.l1_hits", h.hits_at(LevelHit::L1));
-        reg.counter("cache.l2_hits", h.hits_at(LevelHit::L2));
-        reg.counter("cache.mcdram_cache_hits", h.hits_at(LevelHit::McdramCache));
-        reg.counter("cache.memory_misses", h.hits_at(LevelHit::Memory));
+        // Zero until an entry point that classifies builds the
+        // hierarchies.
+        let hits = |level| self.hierarchies.get(core).map_or(0, |h| h.hits_at(level));
+        reg.counter("cache.l1_hits", hits(LevelHit::L1));
+        reg.counter("cache.l2_hits", hits(LevelHit::L2));
+        reg.counter("cache.mcdram_cache_hits", hits(LevelHit::McdramCache));
+        reg.counter("cache.memory_misses", hits(LevelHit::Memory));
         let m = &self.mshrs[core];
         reg.counter("mshr.allocations", m.allocations.get());
         reg.counter("mshr.merges", m.merges.get());
@@ -907,7 +960,7 @@ impl TraceSim {
     /// gauges are always available.
     pub fn metrics_registry(&self) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
-        for c in 0..self.hierarchies.len() {
+        for c in 0..self.cores() {
             reg.merge(&self.shard_metrics(c));
         }
         for (c, t) in self.core_totals.iter().enumerate() {
@@ -1069,7 +1122,8 @@ impl TraceSim {
 
     /// Replay one access; returns its latency.
     pub fn access(&mut self, t: TraceAccess) -> Duration {
-        let core = partition_by_core(t.core, self.hierarchies.len());
+        self.ensure_hierarchies();
+        let core = partition_by_core(t.core, self.cores());
         let kind = if t.write {
             AccessKind::Write
         } else {
@@ -1120,10 +1174,10 @@ impl TraceSim {
             done = issue + sram_lat; // the stall may have moved `issue`
             self.core_totals[core].memory_accesses += 1;
             // Mesh traversal to the serving port.
-            let is_hbm_target = match (&self.msc, level) {
-                (Some(_), LevelHit::McdramCache) => true,
-                (Some(_), _) => false, // DDR behind the cache
-                (None, _) => self.route_hbm(addr),
+            let is_hbm_target = match (self.has_msc, level) {
+                (true, LevelHit::McdramCache) => true,
+                (true, _) => false, // DDR behind the cache
+                (false, _) => self.route_hbm(addr),
             };
             // Mesh traversal charged analytically: per-link flit
             // reservation is far too pessimistic at memory rates (the
@@ -1131,26 +1185,26 @@ impl TraceSim {
             // so the request half of the average round trip is added
             // as latency instead. Messages and hops are still counted.
             self.mesh_tally.note(if is_hbm_target {
-                self.hops_hbm
+                self.mesh_consts.hops_hbm
             } else {
-                self.hops_ddr
+                self.mesh_consts.hops_ddr
             });
             let arrive = done
                 + if is_hbm_target {
-                    self.resp_half_hbm
+                    self.mesh_consts.resp_half_hbm
                 } else {
-                    self.resp_half_ddr
+                    self.mesh_consts.resp_half_ddr
                 };
             // A page mid-migration is unreachable until its batch
             // lands; the floor is a no-op when migration is off.
             let arrive = self.migrate_floor(addr, arrive);
             // Device service.
-            let served = match (&mut self.msc, level) {
-                (Some(_), LevelHit::McdramCache) => {
+            let served = match (self.has_msc, level) {
+                (true, LevelHit::McdramCache) => {
                     self.core_totals[core].mcdram_cache_hits += 1;
                     self.hbm.access(addr, arrive)
                 }
-                (Some(_), _) => {
+                (true, _) => {
                     // Tag probe in MCDRAM, then the DDR fetch, then the
                     // fill write into MCDRAM (fill not on critical path).
                     let tag_done = self.hbm.access(addr, arrive);
@@ -1158,7 +1212,7 @@ impl TraceSim {
                     let _fill = self.hbm.access(addr, data);
                     data
                 }
-                (None, _) => {
+                (false, _) => {
                     if is_hbm_target {
                         self.hbm.access(addr, arrive)
                     } else {
@@ -1170,9 +1224,9 @@ impl TraceSim {
             // link reservation: response links mirror request links).
             done = served
                 + if is_hbm_target {
-                    self.resp_half_hbm
+                    self.mesh_consts.resp_half_hbm
                 } else {
-                    self.resp_half_ddr
+                    self.mesh_consts.resp_half_ddr
                 };
             self.mshrs[core].complete_at(addr & !(self.line_bytes - 1), done);
             if self.timeseries.is_some() {
@@ -1209,7 +1263,7 @@ impl TraceSim {
     /// bank slots "in the future" and laggards would queue behind
     /// phantom traffic.
     pub fn run(&mut self, trace: &[TraceAccess]) -> TraceSimReport {
-        let cores = self.hierarchies.len();
+        let cores = self.cores();
         let t_partition = self.telemetry.is_some().then(Instant::now);
         let mut queues: Vec<VecDeque<TraceAccess>> = vec![VecDeque::new(); cores];
         for &t in trace {
@@ -1264,6 +1318,7 @@ impl TraceSim {
     /// module docs on ghost slots), so peak buffering stays near one
     /// window instead of the whole trace.
     pub fn run_parallel(&mut self, trace: &[TraceAccess]) -> TraceSimReport {
+        self.ensure_hierarchies();
         let cores = self.cores();
         let t_partition = self.telemetry.is_some().then(Instant::now);
         let mut remaining = vec![0usize; cores];
@@ -1363,6 +1418,7 @@ impl TraceSim {
         remaining: Option<Vec<u64>>,
         mut fill: impl FnMut(&mut Vec<TraceAccess>) -> usize + Send,
     ) -> TraceSimReport {
+        self.ensure_hierarchies();
         let cores = self.cores();
         let remaining: Vec<usize> = match remaining {
             Some(counts) => {
@@ -1406,10 +1462,10 @@ impl TraceSim {
         self.last_pipe_stats = par::PipeStats::default();
         self.last_peak_buffer = 0;
         self.peak_buffered_accesses = 0;
-        let mut shards: Vec<ReplayShard> = std::mem::take(&mut self.hierarchies)
-            .into_iter()
-            .map(|hier| ReplayShard {
-                hier,
+        let mut hiers = std::mem::take(&mut self.hierarchies).into_iter();
+        let mut shards: Vec<ReplayShard> = (0..cores)
+            .map(|_| ReplayShard {
+                hier: hiers.next(),
                 pending: Vec::new(),
                 queue: ClassifiedSoa::new(),
             })
@@ -1458,7 +1514,7 @@ impl TraceSim {
                 "stream yielded more accesses than its per-core counts"
             );
         }
-        self.hierarchies = shards.into_iter().map(|u| u.hier).collect();
+        self.hierarchies = shards.into_iter().filter_map(|u| u.hier).collect();
     }
 
     /// Close one merge span covering `drained` accesses since `t0`
@@ -1571,7 +1627,11 @@ impl TraceSim {
             shards[c].pending.push(t);
         }
         par::par_update(shards, |_, u| {
-            classify_into(&mut u.hier, &mut u.pending, &mut u.queue);
+            let hier = u
+                .hier
+                .as_mut()
+                .expect("classifying entry points build hierarchies");
+            classify_into(hier, &mut u.pending, &mut u.queue);
         });
         if let (Some(log), Some(t0)) = (&mut self.telemetry, t_classify) {
             log.end(
@@ -1625,6 +1685,11 @@ mod tests {
         MachineConfig::knl7210(setup, 64)
     }
 
+    /// Base address of core `c`'s stream in [`stream_trace`].
+    fn stream_base(c: u32) -> u64 {
+        (c as u64 * 23_456_789) & !63
+    }
+
     fn stream_trace(cores: u32, lines_per_core: u64) -> Vec<TraceAccess> {
         // Disjoint ~22-MB-apart streams per core, issued in bursts of
         // 16 consecutive lines (the natural issue pattern of a
@@ -1633,13 +1698,12 @@ mod tests {
         // scattered pages never alias all cores onto one bank, and
         // neither should a synthetic trace.
         const BURST: u64 = 16;
-        let base = |c: u32| (c as u64 * 23_456_789) & !63;
         let mut t = Vec::new();
         let mut i = 0;
         while i < lines_per_core {
             for c in 0..cores {
                 for j in i..(i + BURST).min(lines_per_core) {
-                    t.push(TraceAccess::read(c, base(c) + j * 64));
+                    t.push(TraceAccess::read(c, stream_base(c) + j * 64));
                 }
             }
             i += BURST;
@@ -2311,6 +2375,93 @@ mod tests {
             plain_reg.get("shard.accesses"),
             Some(&MetricValue::Counter(report.accesses))
         );
+    }
+
+    #[test]
+    fn memoized_mesh_constants_match_direct_computation() {
+        for mode in [
+            ClusterMode::AllToAll,
+            ClusterMode::Quadrant,
+            ClusterMode::Hemisphere,
+            ClusterMode::Snc4,
+        ] {
+            let mesh = MeshModel::knl(mode);
+            let direct = MeshConstants {
+                resp_half_ddr: mesh.avg_memory_latency(false).scale(0.5),
+                resp_half_hbm: mesh.avg_memory_latency(true).scale(0.5),
+                hops_ddr: mesh.avg_memory_hops(false),
+                hops_hbm: mesh.avg_memory_hops(true),
+            };
+            assert_eq!(MeshConstants::for_mode(mode), direct, "{mode:?}");
+            // A second lookup serves the memo, unchanged.
+            assert_eq!(MeshConstants::for_mode(mode), direct, "{mode:?}");
+            let mut c = cfg(MemSetup::DramOnly);
+            c.cluster = mode;
+            let sim = TraceSim::new(&c, 2, TracePlacement::AllDdr, ByteSize::mib(1));
+            assert_eq!(sim.mesh_consts, direct, "{mode:?}");
+        }
+    }
+
+    /// The `cache.*` counters of `reg`, in level order.
+    fn cache_counters(reg: &simfabric::MetricsRegistry) -> [u64; 4] {
+        use simfabric::telemetry::MetricValue;
+        [
+            "cache.l1_hits",
+            "cache.l2_hits",
+            "cache.mcdram_cache_hits",
+            "cache.memory_misses",
+        ]
+        .map(|name| match reg.get(name) {
+            Some(&MetricValue::Counter(n)) => n,
+            other => panic!("{name}: {other:?}"),
+        })
+    }
+
+    #[test]
+    fn hierarchies_are_built_only_by_entry_points_that_classify() {
+        let c = cfg(MemSetup::CacheMode);
+        let msc = ByteSize::mib(4);
+        // Stream 20 000 lines per core (past the 1 MiB L2, inside the
+        // MCDRAM cache), then revisit lines that only the MCDRAM cache,
+        // the L2 and the L1 still hold, so every level serves some.
+        let mut trace = stream_trace(4, 20_000);
+        for core in 0..4u32 {
+            for line in [0, 1, 19_000, 19_001, 19_999] {
+                trace.push(TraceAccess::read(core, stream_base(core) + line * 64));
+            }
+        }
+        let ct = ClassifiedTrace::build_from_trace(&c, 4, msc, "stream", &trace);
+        assert!(
+            ct.level_hits().iter().all(|&n| n > 0),
+            "{:?}",
+            ct.level_hits()
+        );
+
+        // A fresh sim's `run` counts exactly the artifact's level hits.
+        let mut classifying = TraceSim::new(&c, 4, TracePlacement::AllDdr, msc);
+        let want = classifying.run(&trace);
+        let classifying_reg = classifying.metrics_registry();
+        assert_eq!(cache_counters(&classifying_reg), ct.level_hits());
+
+        // Replaying the artifact never builds the hierarchies: same
+        // report, same registry keys, every `cache.*` counter zero.
+        let mut replaying = TraceSim::new(&c, 4, TracePlacement::AllDdr, msc);
+        assert_eq!(replaying.run_classified(&ct), want);
+        assert!(replaying.hierarchies.is_empty());
+        let replaying_reg = replaying.metrics_registry();
+        let keys = |reg: &simfabric::MetricsRegistry| {
+            reg.iter().map(|(k, _)| k.to_owned()).collect::<Vec<_>>()
+        };
+        assert_eq!(keys(&replaying_reg), keys(&classifying_reg));
+        assert_eq!(cache_counters(&replaying_reg), [0; 4]);
+
+        // `access` on that sim builds them on demand.
+        let before = replaying.totals().accesses;
+        assert!(replaying.access(TraceAccess::read(1, 64)) > Duration::ZERO);
+        assert_eq!(replaying.hierarchies.len(), 4);
+        assert_eq!(replaying.totals().accesses, before + 1);
+        let counted = cache_counters(&replaying.metrics_registry());
+        assert_eq!(counted.iter().sum::<u64>(), 1);
     }
 
     #[test]

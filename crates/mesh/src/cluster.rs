@@ -55,26 +55,23 @@ impl ClusterMode {
     pub fn cha_for(self, topo: &Topology, addr: u64, port: MemPort) -> Coord {
         let h = mix(addr, 0xC4A);
         let port_pos = topo.port(port);
-        let candidates: Vec<Coord> = match self {
-            ClusterMode::AllToAll => topo.tiles.clone(),
+        // The `h % n`-th tile of the port's region, in tile order:
+        // count the region, then walk to that tile, without collecting
+        // the region on every call.
+        let in_region = |c: Coord| match self {
+            ClusterMode::AllToAll => true,
             ClusterMode::Quadrant | ClusterMode::Snc4 => {
-                let q = topo.quadrant_of(port_pos);
-                topo.tiles
-                    .iter()
-                    .copied()
-                    .filter(|&c| topo.quadrant_of(c) == q)
-                    .collect()
+                topo.quadrant_of(c) == topo.quadrant_of(port_pos)
             }
-            ClusterMode::Hemisphere => {
-                let hm = topo.hemisphere_of(port_pos);
-                topo.tiles
-                    .iter()
-                    .copied()
-                    .filter(|&c| topo.hemisphere_of(c) == hm)
-                    .collect()
-            }
+            ClusterMode::Hemisphere => topo.hemisphere_of(c) == topo.hemisphere_of(port_pos),
         };
-        candidates[(h % candidates.len() as u64) as usize]
+        let n = topo.tiles.iter().filter(|&&c| in_region(c)).count();
+        topo.tiles
+            .iter()
+            .copied()
+            .filter(|&c| in_region(c))
+            .nth((h % n as u64) as usize)
+            .expect("every cluster region holds a tile")
     }
 
     /// Average CHA→port hop count over a sample of addresses — the
@@ -152,6 +149,56 @@ mod tests {
         let h = ClusterMode::Hemisphere.avg_cha_to_port_hops(&topo, true, 5_000);
         let a = ClusterMode::AllToAll.avg_cha_to_port_hops(&topo, true, 5_000);
         assert!(q <= h && h <= a, "q={q:.2} h={h:.2} a={a:.2}");
+    }
+
+    /// The original collect-based selection, kept as the reference
+    /// for the allocation-free [`ClusterMode::cha_for`].
+    fn cha_for_collected(mode: ClusterMode, topo: &Topology, addr: u64, port: MemPort) -> Coord {
+        let h = mix(addr, 0xC4A);
+        let port_pos = topo.port(port);
+        let candidates: Vec<Coord> = match mode {
+            ClusterMode::AllToAll => topo.tiles.clone(),
+            ClusterMode::Quadrant | ClusterMode::Snc4 => {
+                let q = topo.quadrant_of(port_pos);
+                topo.tiles
+                    .iter()
+                    .copied()
+                    .filter(|&c| topo.quadrant_of(c) == q)
+                    .collect()
+            }
+            ClusterMode::Hemisphere => {
+                let hm = topo.hemisphere_of(port_pos);
+                topo.tiles
+                    .iter()
+                    .copied()
+                    .filter(|&c| topo.hemisphere_of(c) == hm)
+                    .collect()
+            }
+        };
+        candidates[(h % candidates.len() as u64) as usize]
+    }
+
+    #[test]
+    fn cha_for_matches_collected_reference() {
+        let topo = Topology::knl7210();
+        for mode in [
+            ClusterMode::AllToAll,
+            ClusterMode::Quadrant,
+            ClusterMode::Hemisphere,
+            ClusterMode::Snc4,
+        ] {
+            for is_mcdram in [false, true] {
+                for i in 0..4_096u64 {
+                    let addr = i.wrapping_mul(0x9e3779b97f4a7c15) & !63;
+                    let port = mode.port_for(&topo, addr, is_mcdram);
+                    assert_eq!(
+                        mode.cha_for(&topo, addr, port),
+                        cha_for_collected(mode, &topo, addr, port),
+                        "{mode:?} mcdram={is_mcdram} addr={addr:#x}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,6 +18,11 @@ TRACESIM_THREADS=8 cargo test -q --offline
 # PLRU, LRU and memory-side cache against naive models) gate here.
 cargo test -q --offline -p cachesim
 
+# The replay engine's own unit tests (tracesim telemetry, registry and
+# construction), the mesh unit tests, and the advisor-service crate's
+# tests also live outside the root package.
+cargo test -q --offline -p knl -p mesh -p hybridmem
+
 # Migration gates, under a watchdog. The test runs above already prove
 # the scheduler remaps at identical trace offsets on every replay entry
 # point (tests/parallel_equivalence.rs `migration_*`); here the
