@@ -684,7 +684,7 @@ fn main() {
             let label = cfg.label();
             match bench::sweep::check_classify_once(&cfg) {
                 Ok((points, builds)) => println!(
-                    "{label}: classify-once — {points} points replayed from {builds} classifications"
+                    "{label}: classify-once — {points} points replayed from {builds} artifact builds"
                 ),
                 Err(e) => {
                     eprintln!("{label}: {e}");

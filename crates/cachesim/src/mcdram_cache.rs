@@ -92,6 +92,17 @@ impl MemorySideCache {
         self.slots
     }
 
+    /// Invalidate every slot and zero the counters: afterwards the
+    /// cache behaves exactly like a fresh one of the same geometry,
+    /// without reallocating the tag store.
+    pub fn reset(&mut self) {
+        self.tags.fill(u64::MAX);
+        self.dirty.fill(false);
+        self.hits.reset();
+        self.misses.reset();
+        self.writebacks.reset();
+    }
+
     /// Access the line containing `addr`.
     pub fn access(&mut self, addr: u64, is_write: bool) -> MscOutcome {
         let line = addr >> self.line_shift;

@@ -110,6 +110,40 @@ fn msc_matches_reference() {
     }
 }
 
+/// A reset memory-side cache is a fresh one: after warming it with
+/// one mixed read/write stream (valid and dirty slots left behind),
+/// `reset` then a second stream gives the outcomes — hits, misses,
+/// dirty-victim addresses — and counters of a newly built cache.
+#[test]
+fn msc_reset_matches_fresh_cache() {
+    let mut rng = Rng::seed_from_u64(0xcac4_0005);
+    let slots = 256u64;
+    let mut reused = MemorySideCache::new(ByteSize::bytes(slots * 64), 64);
+    for case in 0..32 {
+        let warm = random_addrs(&mut rng, 1 << (12 + case % 9), 500);
+        for &a in &warm {
+            reused.access(a, rng.gen_range(0u32..2) == 0);
+        }
+        reused.reset();
+        let mut fresh = MemorySideCache::new(ByteSize::bytes(slots * 64), 64);
+        for &a in &random_addrs(&mut rng, 1 << (12 + case % 11), 500) {
+            let write = rng.gen_range(0u32..3) == 0;
+            assert_eq!(
+                reused.access(a, write),
+                fresh.access(a, write),
+                "case {case}"
+            );
+        }
+        assert_eq!(reused.hits.get(), fresh.hits.get(), "case {case}");
+        assert_eq!(reused.misses.get(), fresh.misses.get(), "case {case}");
+        assert_eq!(
+            reused.writebacks.get(),
+            fresh.writebacks.get(),
+            "case {case}"
+        );
+    }
+}
+
 /// TLB conservation: every translation is exactly one of L1 hit,
 /// L2 hit, or walk; and a repeat translation immediately after is
 /// always an L1 hit.

@@ -201,9 +201,10 @@ pub const DEFAULT_MIGRATE_PERIOD: u64 = 4_096;
 ///
 /// Repeated queries are what the classify-once engine exists for: the
 /// flat placements (DDR, split, migrated, HBM) share one classified
-/// artifact and cache mode a second, both served from the global
-/// cache — so a follow-up query over the same trace (a different
-/// budget, say) replays without classifying anything.
+/// artifact, and cache mode's is derived from the flat artifact by one
+/// memory-side-cache pass; both are served from the global cache — so
+/// a follow-up query over the same trace (a different budget, say)
+/// replays without classifying anything.
 pub fn advise_replayed_query(
     spec: &TraceSpec,
     budget: ByteSize,

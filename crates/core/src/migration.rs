@@ -217,8 +217,9 @@ fn price(sim: &TraceSim, moved_bytes: u64) -> EnergyReport {
 
 /// Run the full sweep: four static baselines, then one migrated run
 /// per period. Every flat point (statics and all migrated periods)
-/// replays one shared classified artifact, and cache mode a second —
-/// classification runs twice where it used to run `3 + periods` times.
+/// replays one shared classified artifact, and cache mode's is derived
+/// from the flat artifact by one memory-side-cache pass —
+/// classification runs once where it used to run `3 + periods` times.
 /// Bit-identical to regenerating per point (the classified-equivalence
 /// suite pins it), so the sweep itself needs no engine knob.
 pub fn run_migration_sweep(cfg: &MigrationSweepConfig) -> MigrationSweep {

@@ -3,7 +3,7 @@
 //! Every multi-setup experiment in this crate replays *the same*
 //! deterministic trace against several timing setups — placements,
 //! device presets, memory-side-cache sizes, migration periods. The
-//! classification stage (private caches, TLB, MSHR occupancy tags)
+//! classification stage (private caches, TLB, memory-side-cache tags)
 //! dominates replay cost but is identical across every setup sharing
 //! one hierarchy config, so this module factors it out:
 //!
@@ -25,7 +25,9 @@
 
 use knl::classified::ClassifyKey;
 use knl::tracesim::{TracePlacement, TraceSim, TraceSimReport};
-use knl::{classify_signature, with_global_classify_cache, ClassifiedTrace, MachineConfig};
+use knl::{
+    classify_signature, flat_sibling, with_global_classify_cache, ClassifiedTrace, MachineConfig,
+};
 use simfabric::{ByteSize, MetricsRegistry};
 use std::sync::Arc;
 use workloads::tracegen::{classify_streaming, replay_streaming, TraceKind, TraceSource};
@@ -112,8 +114,12 @@ pub fn sweep_reuse_enabled() -> bool {
 /// The classified artifact for `spec` under `cfg`, through the global
 /// [`ClassifyCache`]: built (streamed, never materializing the raw
 /// trace) on first use, shared by every later sweep point whose key
-/// matches — across experiments, not just within one sweep. Builds go
-/// through the in-flight guard
+/// matches — across experiments, not just within one sweep. A
+/// cache-mode artifact is derived from the flat artifact of the same
+/// trace, itself fetched through this function (one counted lookup),
+/// by one memory-side-cache pass
+/// ([`ClassifiedTrace::with_memory_side_cache`]), and cached under
+/// its own key. Builds go through the in-flight guard
 /// ([`SharedClassifyCache`](knl::SharedClassifyCache)), so concurrent
 /// callers missing on one key — advisor-service workers, say — run
 /// one classification and share its artifact.
@@ -123,14 +129,17 @@ pub fn classified_for(
     msc_capacity: ByteSize,
 ) -> Arc<ClassifiedTrace> {
     let key = spec.key(cfg, msc_capacity);
-    knl::global_classify_cache().get_or_build(&key, || {
-        classify_streaming(
+    knl::global_classify_cache().get_or_build(&key, || match flat_sibling(cfg) {
+        Some(flat) => {
+            classified_for(spec, &flat, msc_capacity).with_memory_side_cache(cfg, msc_capacity)
+        }
+        None => classify_streaming(
             cfg,
             spec.cores,
             msc_capacity,
             spec.label(),
             spec.source().as_mut(),
-        )
+        ),
     })
 }
 
@@ -242,6 +251,56 @@ mod tests {
         assert_eq!(after.misses - before.misses, 1);
         assert!(after.hits > before.hits);
         assert_eq!(a.accesses(), 4 * 150);
+    }
+
+    #[test]
+    fn cache_mode_derives_from_one_flat_build() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let _cache = lock_global_classify_cache();
+        static SOURCES: AtomicUsize = AtomicUsize::new(0);
+        // A label no other test uses, so the flat artifact starts cold.
+        let s = TraceSpec::new("sweeptest:gups:4x400:seed=0x52", 4, || {
+            SOURCES.fetch_add(1, Ordering::SeqCst);
+            TraceKind::Gups.source(4, 400, 0x52)
+        });
+        let cache = MachineConfig::knl7210(MemSetup::CacheMode, 64);
+        let flat = MachineConfig::knl7210(MemSetup::DramOnly, 64);
+        let stats = || with_global_classify_cache(|c| c.stats());
+        let before = stats();
+        let small = classified_for(&s, &cache, ByteSize::kib(64));
+        let mid = stats();
+        assert_eq!(SOURCES.load(Ordering::SeqCst), 1, "one generator run");
+        assert_eq!(
+            mid.misses - before.misses,
+            2,
+            "one flat build, one derivation"
+        );
+        assert_eq!(
+            mid.hits, before.hits,
+            "a cold flat lookup is a build, not a hit"
+        );
+        let large = classified_for(&s, &cache, ByteSize::mib(8));
+        let after = stats();
+        assert_eq!(
+            SOURCES.load(Ordering::SeqCst),
+            1,
+            "a second MSC capacity derives from the cached flat artifact"
+        );
+        assert_eq!(after.misses - mid.misses, 1, "the derivation only");
+        assert_eq!(after.hits - mid.hits, 1, "the flat sibling's lookup");
+        let base = classified_for(&s, &flat, ByteSize::mib(8));
+        assert_eq!(base.accesses(), small.accesses());
+        for (ct, msc) in [(&small, ByteSize::kib(64)), (&large, ByteSize::mib(8))] {
+            assert_eq!(ct.key(), &s.key(&cache, msc));
+            let mut fresh = TraceSim::new(&cache, 4, TracePlacement::AllDdr, msc);
+            let want = replay_streaming(&mut fresh, s.source().as_mut());
+            let mut replaying = TraceSim::new(&cache, 4, TracePlacement::AllDdr, msc);
+            assert_eq!(
+                replaying.run_classified(ct),
+                want,
+                "derived artifact must replay bit-identically (msc {msc:?})"
+            );
+        }
     }
 
     #[test]

@@ -14,6 +14,21 @@
 //! [`TraceSim::run_classified`](crate::tracesim::TraceSim::run_classified),
 //! skipping the generators and cache models entirely.
 //!
+//! # Cache mode derives from flat
+//!
+//! The cache-mode hierarchy is the flat one plus a memory-side cache
+//! (MSC) behind L2: the same L1, L2 and TLB, and (with the device
+//! latencies zeroed) the same latencies. The MSC sees exactly the L2
+//! misses, in per-core program order. So a cache-mode artifact is the
+//! flat artifact of the same trace ([`flat_sibling`]) with each
+//! `Memory` access that hits a per-core MSC relabelled
+//! `McdramCache` — one pass over the flat artifact
+//! ([`ClassifiedTrace::with_memory_side_cache`]), not a second
+//! classification. [`ClassifiedTrace::build_streaming`] classifies
+//! cache mode that way; the trace simulator's raw entry points still
+//! classify through the MSC inside [`Hierarchy`], which the
+//! equivalence suites use as the independent reference.
+//!
 //! # Key and invalidation
 //!
 //! A key names its artifact completely: if any key component changes —
@@ -37,12 +52,13 @@
 //! ([`classify_cache_warning`]) because every sweep over it silently
 //! degenerates to rebuild-per-setup.
 
-use crate::config::MachineConfig;
+use crate::config::{MachineConfig, MemSetup};
 use crate::tracesim::{
-    classify_into, hierarchy_config, partition_by_core, worker_threads, ClassifiedSoa, TraceAccess,
-    CLASSIFIED_ACCESS_BYTES,
+    classify_into, hierarchy_config, partition_by_core, relabel_level, unpack_level, unpack_write,
+    worker_threads, ClassifiedSoa, TraceAccess, CLASSIFIED_ACCESS_BYTES,
 };
 use cachesim::hierarchy::{Hierarchy, LevelHit};
+use cachesim::mcdram_cache::MemorySideCache;
 use simfabric::par;
 use simfabric::telemetry::MetricsRegistry;
 use simfabric::ByteSize;
@@ -102,9 +118,11 @@ impl ClassifyKey {
 /// The canonical classification signature of a machine config: every
 /// input of [`hierarchy_config`] that changes private-hierarchy
 /// behaviour, and nothing else. Flat-mode setups (`DramOnly`,
-/// `HbmOnly`, hybrid) share one signature — their placements differ
-/// only in the timing stage — while cache mode gets its own (the
-/// memory-side-cache tags classify, and their capacity matters).
+/// `HbmOnly`, interleaved) share one signature — their placements
+/// differ only in the timing stage — while cache mode gets its own
+/// (the memory-side-cache tags classify, and their capacity matters).
+/// A cache-mode artifact is derived from the artifact under its
+/// [`flat_sibling`]'s signature, but is keyed under its own.
 pub fn classify_signature(cfg: &MachineConfig, msc_capacity: ByteSize) -> String {
     if cfg.setup.has_mcdram_cache() {
         format!(
@@ -116,6 +134,18 @@ pub fn classify_signature(cfg: &MachineConfig, msc_capacity: ByteSize) -> String
     } else {
         format!("flat:ddr={}ps", cfg.ddr.idle_latency.as_ps())
     }
+}
+
+/// The flat config whose artifact a cache-mode artifact under `cfg`
+/// is derived from: `cfg` in `DramOnly`, whose private hierarchy is
+/// `cfg`'s without the memory-side cache. `None` when `cfg`'s
+/// hierarchy has no memory-side cache, i.e. its artifact is
+/// classified directly.
+pub fn flat_sibling(cfg: &MachineConfig) -> Option<MachineConfig> {
+    (cfg.setup == MemSetup::CacheMode).then(|| MachineConfig {
+        setup: MemSetup::DramOnly,
+        ..cfg.clone()
+    })
 }
 
 /// A fully classified trace: per-core SoA arrays of
@@ -141,7 +171,9 @@ impl ClassifiedTrace {
     /// by core and classified on [`worker_threads`] workers exactly as
     /// the replay would. The artifact is bit-for-bit the
     /// classification replay would produce — one shared kernel
-    /// ([`classify_into`]) guarantees it.
+    /// ([`classify_into`]) guarantees it. Cache mode classifies
+    /// through its [`flat_sibling`] and then runs
+    /// [`with_memory_side_cache`](Self::with_memory_side_cache).
     pub fn build_streaming(
         cfg: &MachineConfig,
         cores: u32,
@@ -149,6 +181,10 @@ impl ClassifiedTrace {
         trace_spec: &str,
         mut fill: impl FnMut(&mut Vec<TraceAccess>) -> usize,
     ) -> ClassifiedTrace {
+        if let Some(flat) = flat_sibling(cfg) {
+            return Self::build_streaming(&flat, cores, msc_capacity, trace_spec, fill)
+                .with_memory_side_cache(cfg, msc_capacity);
+        }
         let key = ClassifyKey::new(trace_spec, cores, classify_signature(cfg, msc_capacity));
         let hier_cfg = hierarchy_config(cfg, msc_capacity);
         struct Builder {
@@ -201,6 +237,73 @@ impl ClassifiedTrace {
             key,
             per_core: builders.into_iter().map(|b| b.queue).collect(),
             accesses,
+            level_hits,
+        }
+    }
+
+    /// The cache-mode artifact of this flat artifact's trace under
+    /// `cfg` (see the [module docs](self)): one pass, core by core,
+    /// through a single memory-side cache of `msc_capacity` reset
+    /// between cores. Addresses and latencies are copied; only the
+    /// level bits of the accesses that reached memory change, to
+    /// `McdramCache` where the core's own MSC hits. Bit-identical to
+    /// classifying the trace under `cfg` through [`Hierarchy`].
+    ///
+    /// # Panics
+    ///
+    /// If `cfg` has no [`flat_sibling`], or this artifact was not
+    /// classified under that sibling's signature.
+    pub fn with_memory_side_cache(
+        &self,
+        cfg: &MachineConfig,
+        msc_capacity: ByteSize,
+    ) -> ClassifiedTrace {
+        let flat = flat_sibling(cfg).expect("only cache mode derives from a flat artifact");
+        assert_eq!(
+            self.key.classify_sig(),
+            classify_signature(&flat, msc_capacity),
+            "a cache-mode artifact derives from the flat artifact of the same machine"
+        );
+        let hier_cfg = hierarchy_config(cfg, msc_capacity);
+        let capacity = hier_cfg
+            .mcdram_cache_capacity
+            .expect("cache mode has a memory-side cache");
+        let mut msc = MemorySideCache::new(capacity, hier_cfg.l1.line_bytes);
+        let mut msc_hits = 0u64;
+        let per_core = self
+            .per_core
+            .iter()
+            .map(|soa| {
+                msc.reset();
+                let (addr, lat_ps, flags) = soa.arrays();
+                let flags = addr
+                    .iter()
+                    .zip(flags)
+                    .map(|(&a, &f)| {
+                        if unpack_level(f) == LevelHit::Memory
+                            && msc.access(a, unpack_write(f)).is_hit()
+                        {
+                            msc_hits += 1;
+                            relabel_level(f, LevelHit::McdramCache)
+                        } else {
+                            f
+                        }
+                    })
+                    .collect();
+                ClassifiedSoa::from_arrays(addr.to_vec(), lat_ps.to_vec(), flags)
+            })
+            .collect();
+        let mut level_hits = self.level_hits;
+        level_hits[2] += msc_hits;
+        level_hits[3] -= msc_hits;
+        ClassifiedTrace {
+            key: ClassifyKey::new(
+                self.key.trace_spec(),
+                self.key.cores(),
+                classify_signature(cfg, msc_capacity),
+            ),
+            per_core,
+            accesses: self.accesses,
             level_hits,
         }
     }
@@ -259,8 +362,12 @@ impl ClassifiedTrace {
         self.level_hits
     }
 
-    /// Core `c`'s SoA arrays for the replay's window copies.
-    pub(crate) fn core_arrays(&self, c: usize) -> (&[u64], &[u64], &[u8]) {
+    /// Core `c`'s classified accesses in program order, as parallel
+    /// `(addr, lat_ps, flags)` arrays: the latency is the private
+    /// hierarchy's in picoseconds, and the flag byte packs bit 0 =
+    /// write, bit 1 = dependent, bits 2–3 = serving level (L1, L2,
+    /// MCDRAM cache, memory).
+    pub fn core_arrays(&self, c: usize) -> (&[u64], &[u64], &[u8]) {
         self.per_core[c].arrays()
     }
 }
@@ -714,6 +821,48 @@ mod tests {
             ByteSize::mib(8),
         );
         assert_ne!(cache, bigger, "MSC capacity is part of the signature");
+    }
+
+    #[test]
+    fn flat_sibling_is_the_cache_mode_hierarchy_without_its_msc() {
+        let msc = ByteSize::mib(4);
+        let cache = MachineConfig::knl7210(MemSetup::CacheMode, 64);
+        let flat = flat_sibling(&cache).expect("cache mode has a flat sibling");
+        let with_msc = hierarchy_config(&cache, msc);
+        assert_eq!(with_msc.mcdram_cache_capacity, Some(msc));
+        assert_eq!(
+            hierarchy_config(&flat, msc),
+            cachesim::hierarchy::HierarchyConfig {
+                mcdram_cache_capacity: None,
+                ..with_msc
+            },
+            "the derivation is exact only if the MSC is the sole difference"
+        );
+        assert_eq!(
+            classify_signature(&flat, msc),
+            classify_signature(&flat_cfg(), msc)
+        );
+        for setup in [
+            MemSetup::DramOnly,
+            MemSetup::HbmOnly,
+            MemSetup::Interleaved,
+            MemSetup::Hybrid,
+        ] {
+            let cfg = MachineConfig::knl7210(setup, 64);
+            assert!(
+                flat_sibling(&cfg).is_none(),
+                "{setup:?} classifies directly"
+            );
+            assert_eq!(hierarchy_config(&cfg, msc).mcdram_cache_capacity, None);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "derives from the flat artifact")]
+    fn derivation_rejects_a_non_flat_base() {
+        let cache = MachineConfig::knl7210(MemSetup::CacheMode, 64);
+        let derived = tiny_artifact("d", 2, 8).with_memory_side_cache(&cache, ByteSize::mib(4));
+        derived.with_memory_side_cache(&cache, ByteSize::mib(4));
     }
 
     #[test]

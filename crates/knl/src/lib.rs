@@ -34,8 +34,8 @@ pub mod tracesim;
 
 pub use access::{RandomOp, Region, StreamOp};
 pub use classified::{
-    classify_signature, global_classify_cache, with_global_classify_cache, ClassifiedTrace,
-    ClassifyCache, ClassifyKey, SharedClassifyCache,
+    classify_signature, flat_sibling, global_classify_cache, with_global_classify_cache,
+    ClassifiedTrace, ClassifyCache, ClassifyKey, SharedClassifyCache,
 };
 pub use config::{MachineConfig, MemSetup};
 pub use energy::{EnergyModel, EnergyReport};

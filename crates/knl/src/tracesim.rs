@@ -65,7 +65,9 @@
 //! through [`TraceSim::run_classified`], whose refills memcpy
 //! window-sized slices instead of running generators and cache models.
 //! Artifacts are built streamed and bounded
-//! ([`ClassifiedTrace::build_streaming`]) and cached in an LRU bounded
+//! ([`ClassifiedTrace::build_streaming`]; cache mode's is derived
+//! from the flat artifact by one memory-side-cache pass, see
+//! [`classified`](crate::classified)) and cached in an LRU bounded
 //! by bytes ([`ClassifyCache`](crate::classified::ClassifyCache)); a
 //! key mismatch can never alias — `run_classified` asserts the
 //! signature and the cache treats any changed key as a miss.
@@ -317,20 +319,30 @@ pub const PAR_WINDOW: usize = 1 << 16;
 /// Pack the classification outcome's boolean/enum half into one byte:
 /// bit 0 = write, bit 1 = dependent, bits 2–3 = [`LevelHit`].
 fn pack_flags(write: bool, dependent: bool, level: LevelHit) -> u8 {
+    relabel_level((write as u8) | (dependent as u8) << 1, level)
+}
+
+/// `flags` with its level bits replaced by `level`, the write and
+/// dependent bits kept.
+pub(crate) fn relabel_level(flags: u8, level: LevelHit) -> u8 {
     let lvl = match level {
         LevelHit::L1 => 0u8,
         LevelHit::L2 => 1,
         LevelHit::McdramCache => 2,
         LevelHit::Memory => 3,
     };
-    (write as u8) | (dependent as u8) << 1 | lvl << 2
+    flags & !0b1100 | lvl << 2
+}
+
+pub(crate) fn unpack_write(flags: u8) -> bool {
+    flags & 0b1 != 0
 }
 
 fn unpack_dependent(flags: u8) -> bool {
     flags & 0b10 != 0
 }
 
-fn unpack_level(flags: u8) -> LevelHit {
+pub(crate) fn unpack_level(flags: u8) -> LevelHit {
     match (flags >> 2) & 0b11 {
         0 => LevelHit::L1,
         1 => LevelHit::L2,
@@ -355,6 +367,17 @@ pub(crate) struct ClassifiedSoa {
 impl ClassifiedSoa {
     pub(crate) fn new() -> Self {
         Self::default()
+    }
+
+    /// A batch over already-packed parallel arrays.
+    pub(crate) fn from_arrays(addr: Vec<u64>, lat_ps: Vec<u64>, flags: Vec<u8>) -> Self {
+        debug_assert!(addr.len() == lat_ps.len() && addr.len() == flags.len());
+        ClassifiedSoa {
+            addr,
+            lat_ps,
+            flags,
+            head: 0,
+        }
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -670,8 +693,12 @@ impl TraceSim {
     /// [`run_streaming`](Self::run_streaming). A simulator that only
     /// replays artifacts through [`run_classified`](Self::run_classified)
     /// never allocates them, so even the full 16 GiB capacity costs
-    /// nothing there. Classifying at 16 GiB allocates 256 Mi tag
-    /// entries (about 2.3 GB) per core; tests scale it down.
+    /// nothing there. Only these raw entry points allocate MSC tags
+    /// per core: 256 Mi tag entries (about 2.3 GB) each at 16 GiB, so
+    /// tests scale it down. A cache-mode [`ClassifiedTrace`] is
+    /// derived from the flat artifact through one MSC tag store for
+    /// all cores
+    /// ([`ClassifiedTrace::with_memory_side_cache`]).
     pub fn new(
         cfg: &MachineConfig,
         cores: u32,

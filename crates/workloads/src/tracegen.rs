@@ -170,13 +170,13 @@ impl StreamSource {
             j: 0,
         }
     }
-}
 
-impl TraceSource for StreamSource {
-    fn next_access(&mut self) -> Option<TraceAccess> {
+    /// Step past finished bursts, cores and passes to the next line to
+    /// emit; `false` once the stream is exhausted.
+    fn seek(&mut self) -> bool {
         loop {
             if self.pass >= self.passes {
-                return None;
+                return false;
             }
             if self.i >= self.lines {
                 self.pass += 1;
@@ -196,10 +196,33 @@ impl TraceSource for StreamSource {
                 self.j = self.i;
                 continue;
             }
-            let acc = TraceAccess::read(self.c, core_base(self.c) + self.j * 64);
-            self.j += 1;
-            return Some(acc);
+            return true;
         }
+    }
+}
+
+impl TraceSource for StreamSource {
+    fn next_access(&mut self) -> Option<TraceAccess> {
+        if !self.seek() {
+            return None;
+        }
+        let acc = TraceAccess::read(self.c, core_base(self.c) + self.j * 64);
+        self.j += 1;
+        Some(acc)
+    }
+
+    /// Emits the rest of each burst as one run rather than walking the
+    /// state machine once per access.
+    fn fill(&mut self, out: &mut Vec<TraceAccess>, max: usize) -> usize {
+        let start = out.len();
+        while out.len() - start < max && self.seek() {
+            let burst_end = (self.i + Self::BURST).min(self.lines);
+            let n = (burst_end - self.j).min((max - (out.len() - start)) as u64);
+            let (c, base) = (self.c, core_base(self.c));
+            out.extend((self.j..self.j + n).map(|j| TraceAccess::read(c, base + j * 64)));
+            self.j += n;
+        }
+        out.len() - start
     }
 
     fn remaining_per_core(&self, shards: usize) -> Option<Vec<u64>> {
@@ -935,6 +958,38 @@ mod tests {
                 let mut chunked = Vec::new();
                 while src.fill(&mut chunked, chunk) > 0 {}
                 assert_eq!(chunked, eager, "{kind:?} chunk={chunk}");
+            }
+        }
+    }
+
+    #[test]
+    fn stream_source_fill_and_next_access_match_nested_loops() {
+        for (cores, lines, passes) in [(3u32, 40u64, 2u32), (4, 16, 1), (1, 7, 3), (2, 33, 1)] {
+            let mut want = Vec::new();
+            for _ in 0..passes {
+                for i in (0..lines).step_by(StreamSource::BURST as usize) {
+                    for c in 0..cores {
+                        for j in i..(i + StreamSource::BURST).min(lines) {
+                            want.push(TraceAccess::read(c, core_base(c) + j * 64));
+                        }
+                    }
+                }
+            }
+            let shape = (cores, lines, passes);
+            let mut src = StreamSource::new(cores, lines, passes);
+            let stepped: Vec<_> = std::iter::from_fn(|| src.next_access()).collect();
+            assert_eq!(stepped, want, "next_access {shape:?}");
+            for chunk in [1usize, 5, 16, 17, 1 << 20] {
+                let mut src = StreamSource::new(cores, lines, passes);
+                let mut got = Vec::new();
+                loop {
+                    let n = src.fill(&mut got, chunk);
+                    assert!(n <= chunk, "fill {shape:?} chunk={chunk} returned {n}");
+                    if n == 0 {
+                        break;
+                    }
+                }
+                assert_eq!(got, want, "fill {shape:?} chunk={chunk}");
             }
         }
     }

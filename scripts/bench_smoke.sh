@@ -50,8 +50,10 @@ done
 [[ "$gate_ok" == 1 ]]
 
 # Sweep-reuse gate: replayed through the production engine from a
-# cold classify cache, the bundled smoke sweep must classify once per
-# classify signature (2 builds, 3 cache hits for its 5 points) — a
+# cold classify cache, the bundled smoke sweep must build one artifact
+# per classify signature (2 builds, 4 cache hits for its 5 points: the
+# cache-mode artifact is derived from the flat one, whose lookup is
+# the fourth hit) — a
 # deterministic check, so classification sneaking back into the
 # per-point loop fails every attempt. The classify-once arm must also
 # beat regenerate-per-point by >= 1.25x, and its plumbing must stay

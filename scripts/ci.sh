@@ -4,7 +4,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo build --release --offline
+# The whole workspace, not just the root package: the steps below
+# run the bench crate's `target/release/repro`.
+cargo build --release --offline --workspace
 
 # The test suite runs twice: once pinned to a single trace-replay
 # worker and once at eight, so the sequential-equivalence contract of
